@@ -134,7 +134,8 @@ void BM_MatMul(benchmark::State& state) {
 // The neighbor-message GEMM (B*K x Dv+Dt @ W1) and the head GEMM shapes,
 // plus a B-exceeds-L2 shape (2048x1024 fp32 B = 8 MB) where the unpacked
 // row-major B walk thrashes: the packed sibling row below must beat this
-// one by >= 1.5x (check_bench_regression.py gates the pair).
+// one by >= 1.5x (scripts/bench.sh stamps the ratio per SIMD side-run and
+// check_bench_regression.py --context-speedup gates the stamp).
 BENCHMARK(BM_MatMul)
     ->Args({256, 48, 64})
     ->Args({2560, 48, 64})
@@ -160,7 +161,7 @@ void BM_MatMulPacked(benchmark::State& state) {
   pb.PackFrom(b);  // pack once, reuse many — the serving amortization
   Matrix c(m, n);
   for (auto _ : state) {
-    MatMulPackedRange(a, pb, &c, 0, m);
+    MatMulPackedBiasActRange(a, pb, &c, 0, m, nullptr, false);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * m * k * n);

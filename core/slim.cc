@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "runtime/thread_pool.h"
-#include "tensor/simd.h"
 
 namespace splash {
 
@@ -173,23 +172,16 @@ void SlimModel::ResizeScratch(size_t b, bool for_training) {
   }
 }
 
-void SlimModel::DenseLayer(const Matrix& in, const Matrix& w,
-                           const float* bias, size_t pi, Matrix* out,
-                           size_t r0, size_t r1, bool relu,
+void SlimModel::DenseLayer(const Matrix& in, const float* bias, size_t pi,
+                           Matrix* out, size_t r0, size_t r1, bool relu,
                            bool const_read) const {
-  // Packed and unpacked fused kernels are bit-identical per backend, so
-  // the pack knob never changes results — only which B layout streams.
   // The bf16 operand is reserved for the const read path: training and
   // Forward() always see full-precision weights.
-  if (GemmPackEnabled()) {
-    if (const_read && bf16_replica_) {
-      MatMulPacked16BiasActRange(in, pw16_[pi], out, r0, r1, bias, relu);
-    } else {
-      MatMulPackedBiasActRange(in, pw_[pi], out, r0, r1, bias, relu);
-    }
-    return;
+  if (const_read && bf16_replica_) {
+    MatMulPacked16BiasActRange(in, pw16_[pi], out, r0, r1, bias, relu);
+  } else {
+    MatMulPackedBiasActRange(in, pw_[pi], out, r0, r1, bias, relu);
   }
-  MatMulBiasActRange(in, w, out, r0, r1, bias, relu);
 }
 
 void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
@@ -209,7 +201,7 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
   // Bias add + ReLU ride the GEMM tile store (fused epilogue): one pass
   // over each activation matrix instead of three. The scalar backend
   // computes the identical arithmetic to the historical separate passes.
-  DenseLayer(s->cat1, w1_.w, b1_.w.data(), 0, &s->msg_pre, n0, n1,
+  DenseLayer(s->cat1, b1_.w.data(), 0, &s->msg_pre, n0, n1,
              /*relu=*/true, const_read);
 
   for (size_t bi = r0; bi < r1; ++bi) {
@@ -229,7 +221,7 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
   }
 
   // --- self branch ---------------------------------------------------------
-  DenseLayer(input.node_feats, w2_.w, b2_.w.data(), 1, &s->self_pre, r0, r1,
+  DenseLayer(input.node_feats, b2_.w.data(), 1, &s->self_pre, r0, r1,
              /*relu=*/true, const_read);
 
   // --- head ----------------------------------------------------------------
@@ -237,7 +229,7 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
     std::memcpy(s->cat2.Row(bi), s->agg.Row(bi), h * sizeof(float));
     std::memcpy(s->cat2.Row(bi) + h, s->self_pre.Row(bi), h * sizeof(float));
   }
-  DenseLayer(s->cat2, w3_.w, b3_.w.data(), 2, &s->h_pre, r0, r1,
+  DenseLayer(s->cat2, b3_.w.data(), 2, &s->h_pre, r0, r1,
              /*relu=*/true, const_read);
 
   if (drop_rng != nullptr && training_ && opts_.dropout > 0.0f) {
@@ -254,7 +246,7 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
     }
   }
 
-  DenseLayer(s->h_pre, w4_.w, b4_.w.data(), 3, &s->out, r0, r1,
+  DenseLayer(s->h_pre, b4_.w.data(), 3, &s->out, r0, r1,
              /*relu=*/false, const_read);
 }
 

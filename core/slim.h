@@ -179,12 +179,11 @@ class SlimModel {
   void ForwardRange(const SlimBatchInput& input, size_t r0, size_t r1,
                     Rng* drop_rng, SlimForwardScratch* s,
                     bool const_read = false) const;
-  /// One fused dense layer (GEMM + bias + optional ReLU): the packed
-  /// kernels when the pack tier is on (bf16 operand iff const_read and the
-  /// replica is bf16), the unpacked fused kernel otherwise. `pi` indexes
-  /// the pack slot of `w` (w1..w4 -> 0..3).
-  void DenseLayer(const Matrix& in, const Matrix& w, const float* bias,
-                  size_t pi, Matrix* out, size_t r0, size_t r1, bool relu,
+  /// One fused dense layer (GEMM + bias + optional ReLU) on the packed
+  /// weights: the bf16 operand iff const_read and the replica is bf16,
+  /// fp32 otherwise. `pi` indexes the pack slot (w1..w4 -> 0..3).
+  void DenseLayer(const Matrix& in, const float* bias, size_t pi,
+                  Matrix* out, size_t r0, size_t r1, bool relu,
                   bool const_read) const;
   /// Runs ResizeScratch + ForwardRange serial or chunk-parallel.
   void ForwardAll(const SlimBatchInput& input, bool for_training);

@@ -47,14 +47,6 @@ unlike cache hierarchies those rows are refused — skipped with a visible
 line rather than compared as if the hardware were the same. All other
 rows still gate normally.
 
---speedup-row/--speedup-ref add a within-file FLOOR gate on the current
-run: the ref row's cpu_time divided by the speedup row's must be at least
---min-speedup. It is meant for backend-pinned runs (a local avx512 bench
-dir, where BM_MatMulPacked/32/2048/1024 holds >= 1.5x over its unpacked
-sibling): on the scalar-pinned CI run the packed layout is a modest
-layout win, not 1.5x, so CI pins the SIMD packed wins through the
-committed side-run stamps instead (next paragraph).
-
 --context-speedup KEY[=FLOOR] (repeatable) gates a scripts/bench.sh
 side-run context stamp in the COMMITTED BASELINE — e.g.
 "avx512_speedup BM_SlimForwardFused/wide_b1=1.0" (the batch-1 wide fused
@@ -69,10 +61,10 @@ backend never carries the key, so an absent key skips visibly instead of
 failing.
 
 --self-test exercises the comparator against fabricated data derived from
-the baseline: an identical copy must pass, and a copy with one pinned row
-hand-slowed by 30% must fail (likewise a hand-lowered --context-speedup
-stamp). CI runs it before the real comparison so the gate can never rot
-into always-green.
+the baseline: an identical copy must pass, a copy with one pinned row
+hand-slowed by 30% must fail, and so must a hand-inflated --overhead-row
+and a hand-lowered --context-speedup stamp. CI runs it before the real
+comparison so the gate can never rot into always-green.
 """
 
 import argparse
@@ -262,26 +254,6 @@ def check_overhead(doc, row, ref, max_overhead):
     return ok, lines
 
 
-def check_speedup(doc, row, ref, min_speedup):
-    """Within-file floor gate: `ref`'s cpu_time / `row`'s cpu_time must be
-    at least min_speedup. Both rows come from the same run on the same
-    host (no calibration) — pins the packed-GEMM win over its unpacked
-    sibling on backend-pinned runs (SIMD-pinned bench dirs; the scalar CI
-    run gates the SIMD wins via --context-speedup instead)."""
-    times = load_cpu_times(doc)
-    if row not in times or ref not in times:
-        missing = row if row not in times else ref
-        return False, ["speedup gate: row %s missing: FAIL" % missing]
-    if times[row] <= 0:
-        return False, ["speedup gate: row %s has cpu_time <= 0: FAIL" % row]
-    ratio = times[ref] / times[row]
-    ok = ratio >= min_speedup
-    lines = ["speedup gate: %s over %s = %.2fx (%.1fns / %.1fns, floor "
-             "%.2fx): %s" % (row, ref, ratio, times[ref], times[row],
-                             min_speedup, "ok" if ok else "FAIL")]
-    return ok, lines
-
-
 def parse_context_speedups(specs, default_floor):
     """Parses repeated --context-speedup values: "KEY" or "KEY=FLOOR"."""
     gates = []
@@ -317,7 +289,6 @@ def check_context_speedup(doc, key, min_ratio):
 
 def self_test(baseline, rows, max_regress, calibrate,
               overhead_row=None, overhead_ref=None, max_overhead=0.10,
-              speedup_row=None, speedup_ref=None, min_speedup=1.5,
               context_speedups=None):
     """The comparator must pass an identical copy and fail a hand-slowed one."""
     same = copy.deepcopy(baseline)
@@ -389,29 +360,6 @@ def self_test(baseline, rows, max_regress, calibrate,
             return False
         extra += ", inflated overhead row rejected"
 
-    # The speedup comparator must pass the recorded ratio (the baseline is
-    # only committed when the packed win holds) and fail a hand-slowed
-    # packed row that erases it.
-    if speedup_row is not None and speedup_ref is not None:
-        ok_speed, lines = check_speedup(baseline, speedup_row, speedup_ref,
-                                        min_speedup)
-        if not ok_speed:
-            print("\n".join(lines), file=sys.stderr)
-            print("self-test FAILED: committed baseline violates the "
-                  "speedup gate", file=sys.stderr)
-            return False
-        slowed_packed = copy.deepcopy(baseline)
-        for row in slowed_packed.get("benchmarks", []):
-            if row.get("run_name", row.get("name", "")) == speedup_row:
-                row["cpu_time"] = row["cpu_time"] * (2.0 * min_speedup)
-        ok_slowed_packed, _ = check_speedup(slowed_packed, speedup_row,
-                                            speedup_ref, min_speedup)
-        if ok_slowed_packed:
-            print("self-test FAILED: hand-slowed speedup row passed",
-                  file=sys.stderr)
-            return False
-        extra += ", erased speedup rejected"
-
     # Every committed side-run stamp must satisfy its floor, and a
     # hand-lowered stamp must fail — so a regressed snapshot cannot be
     # committed and the stamp gate cannot rot into always-green. (Absent
@@ -476,13 +424,6 @@ def main():
                          "BM_ServeSmokeMixedRouted/1 vs BM_ServeSmokeMixed)")
     ap.add_argument("--overhead-ref", default=None, metavar="ROW")
     ap.add_argument("--max-overhead", type=float, default=0.10)
-    ap.add_argument("--speedup-row", default=None, metavar="ROW",
-                    help="within-file floor gate: --speedup-ref's cpu_time "
-                         "over this row's must be >= --min-speedup (CI pins "
-                         "BM_MatMulPacked/32/2048/1024 vs "
-                         "BM_MatMul/32/2048/1024)")
-    ap.add_argument("--speedup-ref", default=None, metavar="ROW")
-    ap.add_argument("--min-speedup", type=float, default=1.5)
     ap.add_argument("--context-speedup", action="append", default=None,
                     metavar="KEY[=FLOOR]",
                     help="repeatable floor gate on a bench.sh side-run "
@@ -496,8 +437,6 @@ def main():
     args = ap.parse_args()
     if (args.overhead_row is None) != (args.overhead_ref is None):
         ap.error("--overhead-row and --overhead-ref go together")
-    if (args.speedup_row is None) != (args.speedup_ref is None):
-        ap.error("--speedup-row and --speedup-ref go together")
     preset_rows, preset_cal = PRESETS[args.preset or "micro"]
     if args.rows is None:
         args.rows = preset_rows
@@ -514,8 +453,7 @@ def main():
         sys.exit(0 if self_test(baseline, args.rows, args.max_regress,
                                 args.calibrate, args.overhead_row,
                                 args.overhead_ref, args.max_overhead,
-                                args.speedup_row, args.speedup_ref,
-                                args.min_speedup, context_gates) else 1)
+                                context_gates) else 1)
 
     if not args.current:
         ap.error("--current is required unless --self-test")
@@ -530,12 +468,6 @@ def main():
                                              args.max_overhead)
         ok = ok and over_ok
         lines.extend(over_lines)
-    if args.speedup_row is not None:
-        speed_ok, speed_lines = check_speedup(current, args.speedup_row,
-                                              args.speedup_ref,
-                                              args.min_speedup)
-        ok = ok and speed_ok
-        lines.extend(speed_lines)
     for key, floor in context_gates:
         ctx_ok, ctx_lines = check_context_speedup(baseline, key, floor)
         ok = ok and ctx_ok

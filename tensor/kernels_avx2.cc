@@ -6,9 +6,10 @@
 // the rest of the binary stays portable baseline codegen.
 //
 // Register tiling:
-//   - MatMul / fused epilogue: 6x16 output tiles (12 ymm accumulators, the
-//     two b-panel vectors and one broadcast fill out the 15 usable regs),
-//     8-wide and masked column tails, 1-row kernels for the row remainder.
+//   - MatMul / packed fused epilogue: 6x16 output tiles (12 ymm
+//     accumulators, the two b-panel vectors and one broadcast fill out the
+//     15 usable regs), 8-wide and masked column tails, one multi-row block
+//     for the row remainder.
 //   - MatMulTransB: 4-wide horizontal-add dot tiles — four 8-lane
 //     accumulators reduced with the hadd/extract transpose.
 //   - MatMulTransA: broadcast-FMA rank-1 updates, vectorized over the
@@ -60,23 +61,15 @@ inline float HSum(__m256 v) {
 }
 
 // ---------------------------------------------------------------------------
-// MatMul (c = a * b) with optional accumulate / fused bias+ReLU epilogue.
+// MatMul (c = a * b): the unpacked GEMM, kept for the feature-selection
+// probe scores and as the in-backend bit-exact reference for the packed
+// kernels below.
 // ---------------------------------------------------------------------------
 
-/// Finishes one 8-lane vector of output: optional += c, + bias, ReLU.
-inline __m256 Epilogue8(__m256 acc, const float* crow, const float* bias,
-                        size_t j, bool accumulate, bool relu) {
-  if (accumulate) acc = _mm256_add_ps(acc, _mm256_loadu_ps(crow + j));
-  if (bias != nullptr) acc = _mm256_add_ps(acc, _mm256_loadu_ps(bias + j));
-  if (relu) acc = _mm256_max_ps(acc, _mm256_setzero_ps());
-  return acc;
-}
-
-/// 6-row x 16-col micro-kernel over the full reduction, then epilogue.
+/// 6-row x 16-col micro-kernel over the full reduction.
 template <int R>
 inline void MicroKernel16(const float* const* arows, const Matrix& b,
-                          float* const* crows, size_t j, size_t k,
-                          const float* bias, bool accumulate, bool relu) {
+                          float* const* crows, size_t j, size_t k) {
   __m256 acc[R][2];
   for (int r = 0; r < R; ++r) {
     acc[r][0] = _mm256_setzero_ps();
@@ -93,20 +86,15 @@ inline void MicroKernel16(const float* const* arows, const Matrix& b,
     }
   }
   for (int r = 0; r < R; ++r) {
-    _mm256_storeu_ps(
-        crows[r] + j,
-        Epilogue8(acc[r][0], crows[r], bias, j, accumulate, relu));
-    _mm256_storeu_ps(
-        crows[r] + j + 8,
-        Epilogue8(acc[r][1], crows[r], bias, j + 8, accumulate, relu));
+    _mm256_storeu_ps(crows[r] + j, acc[r][0]);
+    _mm256_storeu_ps(crows[r] + j + 8, acc[r][1]);
   }
 }
 
 /// 8-wide column panel for R rows.
 template <int R>
 inline void MicroKernel8(const float* const* arows, const Matrix& b,
-                         float* const* crows, size_t j, size_t k,
-                         const float* bias, bool accumulate, bool relu) {
+                         float* const* crows, size_t j, size_t k) {
   __m256 acc[R];
   for (int r = 0; r < R; ++r) acc[r] = _mm256_setzero_ps();
   for (size_t kk = 0; kk < k; ++kk) {
@@ -116,18 +104,14 @@ inline void MicroKernel8(const float* const* arows, const Matrix& b,
                                acc[r]);
     }
   }
-  for (int r = 0; r < R; ++r) {
-    _mm256_storeu_ps(crows[r] + j,
-                     Epilogue8(acc[r], crows[r], bias, j, accumulate, relu));
-  }
+  for (int r = 0; r < R; ++r) _mm256_storeu_ps(crows[r] + j, acc[r]);
 }
 
 /// Masked (<8 wide) column tail for R rows.
 template <int R>
 inline void MicroKernelTail(const float* const* arows, const Matrix& b,
                             float* const* crows, size_t j, size_t rem,
-                            size_t k, const float* bias, bool accumulate,
-                            bool relu) {
+                            size_t k) {
   const __m256i mask = TailMask(rem);
   __m256 acc[R];
   for (int r = 0; r < R; ++r) acc[r] = _mm256_setzero_ps();
@@ -138,39 +122,23 @@ inline void MicroKernelTail(const float* const* arows, const Matrix& b,
                                acc[r]);
     }
   }
-  const __m256 bias_v = bias != nullptr ? _mm256_maskload_ps(bias + j, mask)
-                                        : _mm256_setzero_ps();
-  for (int r = 0; r < R; ++r) {
-    __m256 v = acc[r];
-    if (accumulate) {
-      v = _mm256_add_ps(v, _mm256_maskload_ps(crows[r] + j, mask));
-    }
-    v = _mm256_add_ps(v, bias_v);
-    if (relu) v = _mm256_max_ps(v, _mm256_setzero_ps());
-    _mm256_maskstore_ps(crows[r] + j, mask, v);
-  }
+  for (int r = 0; r < R; ++r) _mm256_maskstore_ps(crows[r] + j, mask, acc[r]);
 }
 
 template <int R>
 inline void MatMulRowBlock(const float* const* arows, const Matrix& b,
-                           float* const* crows, size_t n, size_t k,
-                           const float* bias, bool accumulate, bool relu) {
+                           float* const* crows, size_t n, size_t k) {
   size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    MicroKernel16<R>(arows, b, crows, j, k, bias, accumulate, relu);
-  }
+  for (; j + 16 <= n; j += 16) MicroKernel16<R>(arows, b, crows, j, k);
   if (j + 8 <= n) {
-    MicroKernel8<R>(arows, b, crows, j, k, bias, accumulate, relu);
+    MicroKernel8<R>(arows, b, crows, j, k);
     j += 8;
   }
-  if (j < n) {
-    MicroKernelTail<R>(arows, b, crows, j, n - j, k, bias, accumulate, relu);
-  }
+  if (j < n) MicroKernelTail<R>(arows, b, crows, j, n - j, k);
 }
 
-void Avx2MatMulEpilogueRange(const Matrix& a, const Matrix& b, Matrix* c,
-                             size_t r0, size_t r1, bool accumulate,
-                             const float* bias, bool relu) {
+void Avx2MatMulRange(const Matrix& a, const Matrix& b, Matrix* c, size_t r0,
+                     size_t r1) {
   const size_t k = a.cols(), n = b.cols();
   assert(b.rows() == k);
   assert(c->rows() == a.rows() && c->cols() == n);
@@ -183,7 +151,7 @@ void Avx2MatMulEpilogueRange(const Matrix& a, const Matrix& b, Matrix* c,
       arows[r] = a.Row(i + r);
       crows[r] = c->Row(i + r);
     }
-    MatMulRowBlock<6>(arows, b, crows, n, k, bias, accumulate, relu);
+    MatMulRowBlock<6>(arows, b, crows, n, k);
   }
   // Row tail as ONE multi-row pass: each pass re-streams all of b, so
   // per-row tail handling costs ~rem full B streams when b exceeds cache.
@@ -195,38 +163,34 @@ void Avx2MatMulEpilogueRange(const Matrix& a, const Matrix& b, Matrix* c,
       crows[r] = c->Row(i + r);
     }
     switch (rem) {
-      case 1: MatMulRowBlock<1>(arows, b, crows, n, k, bias, accumulate, relu); break;
-      case 2: MatMulRowBlock<2>(arows, b, crows, n, k, bias, accumulate, relu); break;
-      case 3: MatMulRowBlock<3>(arows, b, crows, n, k, bias, accumulate, relu); break;
-      case 4: MatMulRowBlock<4>(arows, b, crows, n, k, bias, accumulate, relu); break;
-      default: MatMulRowBlock<5>(arows, b, crows, n, k, bias, accumulate, relu); break;
+      case 1: MatMulRowBlock<1>(arows, b, crows, n, k); break;
+      case 2: MatMulRowBlock<2>(arows, b, crows, n, k); break;
+      case 3: MatMulRowBlock<3>(arows, b, crows, n, k); break;
+      case 4: MatMulRowBlock<4>(arows, b, crows, n, k); break;
+      default: MatMulRowBlock<5>(arows, b, crows, n, k); break;
     }
   }
 }
 
-void Avx2MatMulRange(const Matrix& a, const Matrix& b, Matrix* c, size_t r0,
-                     size_t r1, bool accumulate) {
-  Avx2MatMulEpilogueRange(a, b, c, r0, r1, accumulate, nullptr, false);
-}
-
-void Avx2MatMulBiasActRange(const Matrix& a, const Matrix& b, Matrix* c,
-                            size_t r0, size_t r1, const float* bias,
-                            bool relu) {
-  Avx2MatMulEpilogueRange(a, b, c, r0, r1, /*accumulate=*/false, bias, relu);
-}
-
 // ---------------------------------------------------------------------------
-// Packed-B GEMM (tensor/packed.h): one 16-col panel is two ymm halves per
-// row, so the 6-row block keeps the same 12-accumulator budget as
-// MicroKernel16 — only the B addressing changes, from row-pitch strides to
-// one contiguous cache line per reduction step.
+// Packed-B GEMM with the fused bias+ReLU epilogue (tensor/packed.h): one
+// 16-col panel is two ymm halves per row, so the 6-row block keeps the
+// same 12-accumulator budget as MicroKernel16 — only the B addressing
+// changes, from row-pitch strides to one contiguous cache line per
+// reduction step.
 //
 // Per-element accumulation stays one ascending-k 8-lane FMA chain, so
-// packed results are bit-identical to the unpacked kernels on this
-// backend. Multi-k-block runs park fp32 partials in C (exact), which is
-// only legal for accumulate=false; accumulate=true keeps the chain in
-// registers across blocks (the FullK variants).
+// packed results are bit-identical to Avx2MatMulRange followed by a
+// bias/ReLU pass. Multi-k-block runs park fp32 partials in C (exact
+// store/reload), so the chain's value sequence is unchanged.
 // ---------------------------------------------------------------------------
+
+/// Finishes one 8-lane vector of output: + bias, ReLU.
+inline __m256 Epilogue8(__m256 acc, const float* bias, size_t j, bool relu) {
+  if (bias != nullptr) acc = _mm256_add_ps(acc, _mm256_loadu_ps(bias + j));
+  if (relu) acc = _mm256_max_ps(acc, _mm256_setzero_ps());
+  return acc;
+}
 
 struct PackedLoadF32 {
   static __m256 Load(const float* p) { return _mm256_load_ps(p); }
@@ -247,8 +211,8 @@ struct PackedLoadBf16 {
 template <int R, typename Loader, typename Packed>
 inline void PackedPanelFull(const float* const* arows, const Packed& b,
                             size_t pb, size_t jp, float* const* crows,
-                            bool first, bool last, bool accumulate,
-                            const float* bias, bool relu) {
+                            bool first, bool last, const float* bias,
+                            bool relu) {
   const auto* p0 = b.Panel(pb, jp);
   const size_t j = jp * 16;
   const size_t k0 = b.BlockBegin(pb), kb = b.BlockRows(pb);
@@ -273,48 +237,36 @@ inline void PackedPanelFull(const float* const* arows, const Packed& b,
       acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
     }
   }
-  if (last) {
-    for (int r = 0; r < R; ++r) {
-      _mm256_storeu_ps(
-          crows[r] + j,
-          Epilogue8(acc[r][0], crows[r], bias, j, accumulate, relu));
-      _mm256_storeu_ps(
-          crows[r] + j + 8,
-          Epilogue8(acc[r][1], crows[r], bias, j + 8, accumulate, relu));
+  for (int r = 0; r < R; ++r) {
+    if (last) {
+      acc[r][0] = Epilogue8(acc[r][0], bias, j, relu);
+      acc[r][1] = Epilogue8(acc[r][1], bias, j + 8, relu);
     }
-  } else {
-    for (int r = 0; r < R; ++r) {
-      _mm256_storeu_ps(crows[r] + j, acc[r][0]);
-      _mm256_storeu_ps(crows[r] + j + 8, acc[r][1]);
-    }
+    _mm256_storeu_ps(crows[r] + j, acc[r][0]);
+    _mm256_storeu_ps(crows[r] + j + 8, acc[r][1]);
   }
 }
 
-/// Finishes one masked ymm of a ragged panel, mirroring MicroKernelTail
-/// exactly (unconditional add of a maybe-zero bias vector).
+/// Finishes one masked ymm of a ragged panel (unconditional add of a
+/// maybe-zero bias vector).
 inline void PackedTailStore(__m256 acc, float* crow, size_t j, __m256i mask,
-                            const float* bias, bool accumulate, bool relu) {
-  __m256 v = acc;
-  if (accumulate) {
-    v = _mm256_add_ps(v, _mm256_maskload_ps(crow + j, mask));
-  }
+                            const float* bias, bool relu) {
   const __m256 bias_v = bias != nullptr ? _mm256_maskload_ps(bias + j, mask)
                                         : _mm256_setzero_ps();
-  v = _mm256_add_ps(v, bias_v);
+  __m256 v = _mm256_add_ps(acc, bias_v);
   if (relu) v = _mm256_max_ps(v, _mm256_setzero_ps());
   _mm256_maskstore_ps(crow + j, mask, v);
 }
 
 /// The ragged last panel (1..15 live cols). B loads stay full-width (the
 /// panel is zero-padded, fma(a, 0, acc) == acc); C access is masked. A
-/// live first half (rem >= 8) finishes through Epilogue8 like the
-/// unpacked 8-wide kernel; masked halves mirror MicroKernelTail.
+/// live first half (rem >= 8) finishes through Epilogue8; masked halves
+/// through PackedTailStore.
 template <int R, typename Loader, typename Packed>
 inline void PackedPanelRagged(const float* const* arows, const Packed& b,
                               size_t pb, size_t jp, size_t rem,
                               float* const* crows, bool first, bool last,
-                              bool accumulate, const float* bias,
-                              bool relu) {
+                              const float* bias, bool relu) {
   const auto* p0 = b.Panel(pb, jp);
   const size_t j = jp * 16;
   const size_t k0 = b.BlockBegin(pb), kb = b.BlockRows(pb);
@@ -349,16 +301,12 @@ inline void PackedPanelRagged(const float* const* arows, const Packed& b,
   if (last) {
     for (int r = 0; r < R; ++r) {
       if (full0) {
-        _mm256_storeu_ps(
-            crows[r] + j,
-            Epilogue8(acc[r][0], crows[r], bias, j, accumulate, relu));
+        _mm256_storeu_ps(crows[r] + j, Epilogue8(acc[r][0], bias, j, relu));
       } else {
-        PackedTailStore(acc[r][0], crows[r], j, mask0, bias, accumulate,
-                        relu);
+        PackedTailStore(acc[r][0], crows[r], j, mask0, bias, relu);
       }
       if (rem1 > 0) {
-        PackedTailStore(acc[r][1], crows[r], j + 8, mask1, bias, accumulate,
-                        relu);
+        PackedTailStore(acc[r][1], crows[r], j + 8, mask1, bias, relu);
       }
     }
   } else {
@@ -379,149 +327,36 @@ inline void PackedPanelRagged(const float* const* arows, const Packed& b,
 template <int R, typename Loader, typename Packed>
 inline void PackedRowBlock(const float* const* arows, const Packed& b,
                            float* const* crows, size_t pb, bool first,
-                           bool last, bool accumulate, const float* bias,
-                           bool relu) {
+                           bool last, const float* bias, bool relu) {
   const size_t n = b.n();
   const size_t full = n / 16;
   for (size_t jp = 0; jp < full; ++jp) {
-    PackedPanelFull<R, Loader>(arows, b, pb, jp, crows, first, last,
-                               accumulate, bias, relu);
+    PackedPanelFull<R, Loader>(arows, b, pb, jp, crows, first, last, bias,
+                               relu);
   }
   if (full * 16 < n) {
     PackedPanelRagged<R, Loader>(arows, b, pb, full, n - full * 16, crows,
-                                 first, last, accumulate, bias, relu);
-  }
-}
-
-/// Register-resident full-reduction row block: the k-block loop runs
-/// inside the accumulator lifetime, so C is never used as partial storage.
-/// Used when accumulate=true (the original C must survive until the
-/// epilogue) and for the k==0 edge (epilogue only).
-template <int R, typename Loader, typename Packed>
-inline void PackedRowBlockFullK(const float* const* arows, const Packed& b,
-                                float* const* crows, bool accumulate,
-                                const float* bias, bool relu) {
-  const size_t n = b.n();
-  const size_t nb = b.num_blocks();
-  const size_t full = n / 16;
-  for (size_t jp = 0; jp < full; ++jp) {
-    const size_t j = jp * 16;
-    __m256 acc[R][2];
-    for (int r = 0; r < R; ++r) {
-      acc[r][0] = _mm256_setzero_ps();
-      acc[r][1] = _mm256_setzero_ps();
-    }
-    for (size_t pb = 0; pb < nb; ++pb) {
-      const auto* p0 = b.Panel(pb, jp);
-      const size_t k0 = b.BlockBegin(pb), kb = b.BlockRows(pb);
-      for (size_t kk = 0; kk < kb; ++kk) {
-        const __m256 b0 = Loader::Load(p0 + kk * 16);
-        const __m256 b1 = Loader::Load(p0 + kk * 16 + 8);
-        for (int r = 0; r < R; ++r) {
-          const __m256 av = _mm256_broadcast_ss(arows[r] + k0 + kk);
-          acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
-          acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
-        }
-      }
-    }
-    for (int r = 0; r < R; ++r) {
-      _mm256_storeu_ps(
-          crows[r] + j,
-          Epilogue8(acc[r][0], crows[r], bias, j, accumulate, relu));
-      _mm256_storeu_ps(
-          crows[r] + j + 8,
-          Epilogue8(acc[r][1], crows[r], bias, j + 8, accumulate, relu));
-    }
-  }
-  if (full * 16 < n) {
-    const size_t j = full * 16;
-    const size_t rem = n - j;
-    const bool full0 = rem >= 8;
-    const size_t rem1 = rem > 8 ? rem - 8 : 0;
-    const __m256i mask0 = full0 ? _mm256_set1_epi32(-1) : TailMask(rem);
-    const __m256i mask1 =
-        rem1 > 0 ? TailMask(rem1) : _mm256_setzero_si256();
-    __m256 acc[R][2];
-    for (int r = 0; r < R; ++r) {
-      acc[r][0] = _mm256_setzero_ps();
-      acc[r][1] = _mm256_setzero_ps();
-    }
-    for (size_t pb = 0; pb < nb; ++pb) {
-      const auto* p0 = b.Panel(pb, full);
-      const size_t k0 = b.BlockBegin(pb), kb = b.BlockRows(pb);
-      for (size_t kk = 0; kk < kb; ++kk) {
-        const __m256 b0 = Loader::Load(p0 + kk * 16);
-        const __m256 b1 = Loader::Load(p0 + kk * 16 + 8);
-        for (int r = 0; r < R; ++r) {
-          const __m256 av = _mm256_broadcast_ss(arows[r] + k0 + kk);
-          acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
-          acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
-        }
-      }
-    }
-    for (int r = 0; r < R; ++r) {
-      if (full0) {
-        _mm256_storeu_ps(
-            crows[r] + j,
-            Epilogue8(acc[r][0], crows[r], bias, j, accumulate, relu));
-      } else {
-        PackedTailStore(acc[r][0], crows[r], j, mask0, bias, accumulate,
-                        relu);
-      }
-      if (rem1 > 0) {
-        PackedTailStore(acc[r][1], crows[r], j + 8, mask1, bias, accumulate,
-                        relu);
-      }
-    }
+                                 first, last, bias, relu);
   }
 }
 
 template <typename Loader, typename Packed>
-void Avx2PackedEpilogueRange(const Matrix& a, const Packed& b, Matrix* c,
-                             size_t r0, size_t r1, bool accumulate,
-                             const float* bias, bool relu) {
+void Avx2PackedBiasActRange(const Matrix& a, const Packed& b, Matrix* c,
+                            size_t r0, size_t r1, const float* bias,
+                            bool relu) {
   const size_t k = a.cols(), n = b.n();
   assert(b.k() == k);
   assert(c->rows() == a.rows() && c->cols() == n);
   assert(r0 <= r1 && r1 <= a.rows());
   (void)k;
   if (n == 0 || r0 == r1) return;
-  const size_t nb = b.num_blocks();
+  // k == 0 has no blocks; one empty block still runs the epilogue.
+  const size_t nb = b.num_blocks() > 0 ? b.num_blocks() : 1;
   const float* arows[6];
   float* crows[6];
-
-  if (accumulate || nb == 0) {
-    // Register-resident chains (see PackedRowBlockFullK).
-    size_t i = r0;
-    for (; i + 6 <= r1; i += 6) {
-      for (int r = 0; r < 6; ++r) {
-        arows[r] = a.Row(i + r);
-        crows[r] = c->Row(i + r);
-      }
-      PackedRowBlockFullK<6, Loader>(arows, b, crows, accumulate, bias,
-                                     relu);
-    }
-    if (i < r1) {
-      const size_t rem = r1 - i;
-      for (size_t r = 0; r < rem; ++r) {
-        arows[r] = a.Row(i + r);
-        crows[r] = c->Row(i + r);
-      }
-      switch (rem) {
-        case 1: PackedRowBlockFullK<1, Loader>(arows, b, crows, accumulate, bias, relu); break;
-        case 2: PackedRowBlockFullK<2, Loader>(arows, b, crows, accumulate, bias, relu); break;
-        case 3: PackedRowBlockFullK<3, Loader>(arows, b, crows, accumulate, bias, relu); break;
-        case 4: PackedRowBlockFullK<4, Loader>(arows, b, crows, accumulate, bias, relu); break;
-        default: PackedRowBlockFullK<5, Loader>(arows, b, crows, accumulate, bias, relu); break;
-      }
-    }
-    return;
-  }
-
   // k-blocks outermost: one L2-sized block of packed B stays resident
   // while every row block of A streams against it; C carries the fp32
-  // partials between blocks (exact store/reload — accumulate is false
-  // here, so C has no prior value to preserve).
+  // partials between blocks.
   for (size_t pb = 0; pb < nb; ++pb) {
     const bool first = pb == 0, last = pb + 1 == nb;
     size_t i = r0;
@@ -530,8 +365,8 @@ void Avx2PackedEpilogueRange(const Matrix& a, const Packed& b, Matrix* c,
         arows[r] = a.Row(i + r);
         crows[r] = c->Row(i + r);
       }
-      PackedRowBlock<6, Loader>(arows, b, crows, pb, first, last,
-                                /*accumulate=*/false, bias, relu);
+      PackedRowBlock<6, Loader>(arows, b, crows, pb, first, last, bias,
+                                relu);
     }
     if (i < r1) {
       const size_t rem = r1 - i;
@@ -540,34 +375,14 @@ void Avx2PackedEpilogueRange(const Matrix& a, const Packed& b, Matrix* c,
         crows[r] = c->Row(i + r);
       }
       switch (rem) {
-        case 1: PackedRowBlock<1, Loader>(arows, b, crows, pb, first, last, false, bias, relu); break;
-        case 2: PackedRowBlock<2, Loader>(arows, b, crows, pb, first, last, false, bias, relu); break;
-        case 3: PackedRowBlock<3, Loader>(arows, b, crows, pb, first, last, false, bias, relu); break;
-        case 4: PackedRowBlock<4, Loader>(arows, b, crows, pb, first, last, false, bias, relu); break;
-        default: PackedRowBlock<5, Loader>(arows, b, crows, pb, first, last, false, bias, relu); break;
+        case 1: PackedRowBlock<1, Loader>(arows, b, crows, pb, first, last, bias, relu); break;
+        case 2: PackedRowBlock<2, Loader>(arows, b, crows, pb, first, last, bias, relu); break;
+        case 3: PackedRowBlock<3, Loader>(arows, b, crows, pb, first, last, bias, relu); break;
+        case 4: PackedRowBlock<4, Loader>(arows, b, crows, pb, first, last, bias, relu); break;
+        default: PackedRowBlock<5, Loader>(arows, b, crows, pb, first, last, bias, relu); break;
       }
     }
   }
-}
-
-void Avx2MatMulPackedRange(const Matrix& a, const PackedMatrix& b, Matrix* c,
-                           size_t r0, size_t r1, bool accumulate) {
-  Avx2PackedEpilogueRange<PackedLoadF32>(a, b, c, r0, r1, accumulate,
-                                         nullptr, false);
-}
-
-void Avx2MatMulPackedBiasActRange(const Matrix& a, const PackedMatrix& b,
-                                  Matrix* c, size_t r0, size_t r1,
-                                  const float* bias, bool relu) {
-  Avx2PackedEpilogueRange<PackedLoadF32>(a, b, c, r0, r1,
-                                         /*accumulate=*/false, bias, relu);
-}
-
-void Avx2MatMulPacked16BiasActRange(const Matrix& a, const PackedMatrix16& b,
-                                    Matrix* c, size_t r0, size_t r1,
-                                    const float* bias, bool relu) {
-  Avx2PackedEpilogueRange<PackedLoadBf16>(a, b, c, r0, r1,
-                                          /*accumulate=*/false, bias, relu);
 }
 
 // ---------------------------------------------------------------------------
@@ -591,7 +406,7 @@ inline __m256 DotAccum(const float* x, const float* y, size_t k) {
 }
 
 void Avx2MatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
-                           size_t r0, size_t r1, bool accumulate) {
+                           size_t r0, size_t r1) {
   const size_t k = a.cols(), n = b.rows();
   assert(b.cols() == k);
   assert(c->rows() == a.rows() && c->cols() == n);
@@ -610,15 +425,11 @@ void Avx2MatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
       const __m256 h01 = _mm256_hadd_ps(d0, d1);
       const __m256 h23 = _mm256_hadd_ps(d2, d3);
       const __m256 h = _mm256_hadd_ps(h01, h23);
-      __m128 sum = _mm_add_ps(_mm256_castps256_ps128(h),
-                              _mm256_extractf128_ps(h, 1));
-      if (accumulate) sum = _mm_add_ps(sum, _mm_loadu_ps(crow + j));
+      const __m128 sum = _mm_add_ps(_mm256_castps256_ps128(h),
+                                    _mm256_extractf128_ps(h, 1));
       _mm_storeu_ps(crow + j, sum);
     }
-    for (; j < n; ++j) {
-      const float acc = HSum(DotAccum(arow, b.Row(j), k));
-      crow[j] = accumulate ? crow[j] + acc : acc;
-    }
+    for (; j < n; ++j) crow[j] = HSum(DotAccum(arow, b.Row(j), k));
   }
 }
 
@@ -663,13 +474,10 @@ void Avx2MatMulTransARange(const Matrix& a, const Matrix& b, Matrix* c,
 }
 
 void Avx2MatMulTransAOutputRange(const Matrix& a, const Matrix& b, Matrix* c,
-                                 size_t i_begin, size_t i_end,
-                                 bool accumulate) {
+                                 size_t i_begin, size_t i_end) {
   const size_t r = a.rows(), n = b.cols();
-  if (!accumulate) {
-    for (size_t i = i_begin; i < i_end; ++i) {
-      std::memset(c->Row(i), 0, n * sizeof(float));
-    }
+  for (size_t i = i_begin; i < i_end; ++i) {
+    std::memset(c->Row(i), 0, n * sizeof(float));
   }
   // rr stays the outer ascending loop so per-element accumulation order
   // matches Avx2MatMulTransARange exactly (bit-identical parallel runs).
@@ -687,38 +495,6 @@ void Avx2MatMulTransAOutputRange(const Matrix& a, const Matrix& b, Matrix* c,
 // ---------------------------------------------------------------------------
 // Row/vector kernels.
 // ---------------------------------------------------------------------------
-
-void Avx2AddRowVector(Matrix* m, const float* bias) {
-  const size_t rows = m->rows(), cols = m->cols();
-  for (size_t i = 0; i < rows; ++i) {
-    float* row = m->Row(i);
-    size_t j = 0;
-    for (; j + 8 <= cols; j += 8) {
-      _mm256_storeu_ps(row + j, _mm256_add_ps(_mm256_loadu_ps(row + j),
-                                              _mm256_loadu_ps(bias + j)));
-    }
-    if (j < cols) {
-      const __m256i mask = TailMask(cols - j);
-      _mm256_maskstore_ps(row + j, mask,
-                          _mm256_add_ps(_mm256_maskload_ps(row + j, mask),
-                                        _mm256_maskload_ps(bias + j, mask)));
-    }
-  }
-}
-
-void Avx2ReluInPlace(Matrix* m) {
-  const __m256 zero = _mm256_setzero_ps();
-  const size_t rows = m->rows(), cols = m->cols();
-  for (size_t i = 0; i < rows; ++i) {
-    float* row = m->Row(i);
-    size_t j = 0;
-    for (; j + 8 <= cols; j += 8) {
-      _mm256_storeu_ps(row + j, _mm256_max_ps(_mm256_loadu_ps(row + j),
-                                              zero));
-    }
-    for (; j < cols; ++j) row[j] = row[j] > 0.0f ? row[j] : 0.0f;
-  }
-}
 
 void Avx2Axpy(float alpha, const float* x, float* y, size_t n) {
   const __m256 a8 = _mm256_set1_ps(alpha);
@@ -873,19 +649,15 @@ void Avx2SincosEncode(float x, float freq_decay, float* out, size_t dim) {
 const KernelTable kAvx2Table = {
     "avx2",
     Avx2MatMulRange,
-    Avx2MatMulBiasActRange,
     Avx2MatMulTransBRange,
     Avx2MatMulTransARange,
     Avx2MatMulTransAOutputRange,
-    Avx2AddRowVector,
-    Avx2ReluInPlace,
     Avx2Axpy,
     Avx2ColumnSumsRange,
     Avx2AdamUpdate,
     Avx2SincosEncode,
-    Avx2MatMulPackedRange,
-    Avx2MatMulPackedBiasActRange,
-    Avx2MatMulPacked16BiasActRange,
+    Avx2PackedBiasActRange<PackedLoadF32, PackedMatrix>,
+    Avx2PackedBiasActRange<PackedLoadBf16, PackedMatrix16>,
 };
 
 }  // namespace

@@ -6,10 +6,11 @@
 // cpuid first, so the rest of the binary stays portable baseline codegen.
 //
 // Register tiling:
-//   - MatMul / fused epilogue: 8x32 output tiles (16 zmm accumulators plus
-//     the two b-panel vectors and one broadcast fit comfortably in the 32
-//     architectural zmm registers), 16-wide and mask-register column tails,
-//     1-row kernels for the row remainder.
+//   - MatMul / packed fused epilogue: 8x32 output tiles (16 zmm
+//     accumulators plus the two b-panel vectors and one broadcast fit
+//     comfortably in the 32 architectural zmm registers), 16-wide and
+//     mask-register column tails, one multi-row block for the row
+//     remainder.
 //   - MatMulTransB: one 16-lane FMA accumulator per dot product, reduced
 //     with _mm512_reduce_add_ps.
 //   - MatMulTransA: broadcast-FMA rank-1 updates, vectorized over the
@@ -52,23 +53,15 @@ inline __mmask16 TailMask16(size_t rem) {
 }
 
 // ---------------------------------------------------------------------------
-// MatMul (c = a * b) with optional accumulate / fused bias+ReLU epilogue.
+// MatMul (c = a * b): the unpacked GEMM, kept for the feature-selection
+// probe scores and as the in-backend bit-exact reference for the packed
+// kernels below.
 // ---------------------------------------------------------------------------
 
-/// Finishes one 16-lane vector of output: optional += c, + bias, ReLU.
-inline __m512 Epilogue16(__m512 acc, const float* crow, const float* bias,
-                         size_t j, bool accumulate, bool relu) {
-  if (accumulate) acc = _mm512_add_ps(acc, _mm512_loadu_ps(crow + j));
-  if (bias != nullptr) acc = _mm512_add_ps(acc, _mm512_loadu_ps(bias + j));
-  if (relu) acc = _mm512_max_ps(acc, _mm512_setzero_ps());
-  return acc;
-}
-
-/// 8-row x 32-col micro-kernel over the full reduction, then epilogue.
+/// 8-row x 32-col micro-kernel over the full reduction.
 template <int R>
 inline void MicroKernel32(const float* const* arows, const Matrix& b,
-                          float* const* crows, size_t j, size_t k,
-                          const float* bias, bool accumulate, bool relu) {
+                          float* const* crows, size_t j, size_t k) {
   __m512 acc[R][2];
   for (int r = 0; r < R; ++r) {
     acc[r][0] = _mm512_setzero_ps();
@@ -85,20 +78,15 @@ inline void MicroKernel32(const float* const* arows, const Matrix& b,
     }
   }
   for (int r = 0; r < R; ++r) {
-    _mm512_storeu_ps(
-        crows[r] + j,
-        Epilogue16(acc[r][0], crows[r], bias, j, accumulate, relu));
-    _mm512_storeu_ps(
-        crows[r] + j + 16,
-        Epilogue16(acc[r][1], crows[r], bias, j + 16, accumulate, relu));
+    _mm512_storeu_ps(crows[r] + j, acc[r][0]);
+    _mm512_storeu_ps(crows[r] + j + 16, acc[r][1]);
   }
 }
 
 /// 16-wide column panel for R rows.
 template <int R>
 inline void MicroKernel16(const float* const* arows, const Matrix& b,
-                          float* const* crows, size_t j, size_t k,
-                          const float* bias, bool accumulate, bool relu) {
+                          float* const* crows, size_t j, size_t k) {
   __m512 acc[R];
   for (int r = 0; r < R; ++r) acc[r] = _mm512_setzero_ps();
   for (size_t kk = 0; kk < k; ++kk) {
@@ -107,18 +95,14 @@ inline void MicroKernel16(const float* const* arows, const Matrix& b,
       acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(arows[r][kk]), b0, acc[r]);
     }
   }
-  for (int r = 0; r < R; ++r) {
-    _mm512_storeu_ps(crows[r] + j,
-                     Epilogue16(acc[r], crows[r], bias, j, accumulate, relu));
-  }
+  for (int r = 0; r < R; ++r) _mm512_storeu_ps(crows[r] + j, acc[r]);
 }
 
 /// Masked (<16 wide) column tail for R rows.
 template <int R>
 inline void MicroKernelTail(const float* const* arows, const Matrix& b,
                             float* const* crows, size_t j, size_t rem,
-                            size_t k, const float* bias, bool accumulate,
-                            bool relu) {
+                            size_t k) {
   const __mmask16 mask = TailMask16(rem);
   __m512 acc[R];
   for (int r = 0; r < R; ++r) acc[r] = _mm512_setzero_ps();
@@ -128,40 +112,25 @@ inline void MicroKernelTail(const float* const* arows, const Matrix& b,
       acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(arows[r][kk]), b0, acc[r]);
     }
   }
-  const __m512 bias_v = bias != nullptr
-                            ? _mm512_maskz_loadu_ps(mask, bias + j)
-                            : _mm512_setzero_ps();
   for (int r = 0; r < R; ++r) {
-    __m512 v = acc[r];
-    if (accumulate) {
-      v = _mm512_add_ps(v, _mm512_maskz_loadu_ps(mask, crows[r] + j));
-    }
-    v = _mm512_add_ps(v, bias_v);
-    if (relu) v = _mm512_max_ps(v, _mm512_setzero_ps());
-    _mm512_mask_storeu_ps(crows[r] + j, mask, v);
+    _mm512_mask_storeu_ps(crows[r] + j, mask, acc[r]);
   }
 }
 
 template <int R>
 inline void MatMulRowBlock(const float* const* arows, const Matrix& b,
-                           float* const* crows, size_t n, size_t k,
-                           const float* bias, bool accumulate, bool relu) {
+                           float* const* crows, size_t n, size_t k) {
   size_t j = 0;
-  for (; j + 32 <= n; j += 32) {
-    MicroKernel32<R>(arows, b, crows, j, k, bias, accumulate, relu);
-  }
+  for (; j + 32 <= n; j += 32) MicroKernel32<R>(arows, b, crows, j, k);
   if (j + 16 <= n) {
-    MicroKernel16<R>(arows, b, crows, j, k, bias, accumulate, relu);
+    MicroKernel16<R>(arows, b, crows, j, k);
     j += 16;
   }
-  if (j < n) {
-    MicroKernelTail<R>(arows, b, crows, j, n - j, k, bias, accumulate, relu);
-  }
+  if (j < n) MicroKernelTail<R>(arows, b, crows, j, n - j, k);
 }
 
-void Avx512MatMulEpilogueRange(const Matrix& a, const Matrix& b, Matrix* c,
-                               size_t r0, size_t r1, bool accumulate,
-                               const float* bias, bool relu) {
+void Avx512MatMulRange(const Matrix& a, const Matrix& b, Matrix* c, size_t r0,
+                       size_t r1) {
   const size_t k = a.cols(), n = b.cols();
   assert(b.rows() == k);
   assert(c->rows() == a.rows() && c->cols() == n);
@@ -174,7 +143,7 @@ void Avx512MatMulEpilogueRange(const Matrix& a, const Matrix& b, Matrix* c,
       arows[r] = a.Row(i + r);
       crows[r] = c->Row(i + r);
     }
-    MatMulRowBlock<8>(arows, b, crows, n, k, bias, accumulate, relu);
+    MatMulRowBlock<8>(arows, b, crows, n, k);
   }
   // Row tail: ONE multi-row pass, not row-by-row. When b exceeds cache
   // (e.g. wide serving layers) each pass re-streams all of b from memory,
@@ -188,48 +157,42 @@ void Avx512MatMulEpilogueRange(const Matrix& a, const Matrix& b, Matrix* c,
       crows[r] = c->Row(i + r);
     }
     switch (rem) {
-      case 1: MatMulRowBlock<1>(arows, b, crows, n, k, bias, accumulate, relu); break;
-      case 2: MatMulRowBlock<2>(arows, b, crows, n, k, bias, accumulate, relu); break;
-      case 3: MatMulRowBlock<3>(arows, b, crows, n, k, bias, accumulate, relu); break;
-      case 4: MatMulRowBlock<4>(arows, b, crows, n, k, bias, accumulate, relu); break;
-      case 5: MatMulRowBlock<5>(arows, b, crows, n, k, bias, accumulate, relu); break;
-      case 6: MatMulRowBlock<6>(arows, b, crows, n, k, bias, accumulate, relu); break;
-      default: MatMulRowBlock<7>(arows, b, crows, n, k, bias, accumulate, relu); break;
+      case 1: MatMulRowBlock<1>(arows, b, crows, n, k); break;
+      case 2: MatMulRowBlock<2>(arows, b, crows, n, k); break;
+      case 3: MatMulRowBlock<3>(arows, b, crows, n, k); break;
+      case 4: MatMulRowBlock<4>(arows, b, crows, n, k); break;
+      case 5: MatMulRowBlock<5>(arows, b, crows, n, k); break;
+      case 6: MatMulRowBlock<6>(arows, b, crows, n, k); break;
+      default: MatMulRowBlock<7>(arows, b, crows, n, k); break;
     }
   }
 }
 
-void Avx512MatMulRange(const Matrix& a, const Matrix& b, Matrix* c, size_t r0,
-                       size_t r1, bool accumulate) {
-  Avx512MatMulEpilogueRange(a, b, c, r0, r1, accumulate, nullptr, false);
-}
-
-void Avx512MatMulBiasActRange(const Matrix& a, const Matrix& b, Matrix* c,
-                              size_t r0, size_t r1, const float* bias,
-                              bool relu) {
-  Avx512MatMulEpilogueRange(a, b, c, r0, r1, /*accumulate=*/false, bias,
-                            relu);
-}
-
 // ---------------------------------------------------------------------------
-// Packed-B GEMM (tensor/packed.h). Every B panel is a contiguous run of
-// 16-float cache lines, so the steady loop advances B by exactly one line
-// per reduction step — no row-pitch strides, which is what makes the wide
-// batch-1 serving forward prefetch-friendly again.
+// Packed-B GEMM with the fused bias+ReLU epilogue (tensor/packed.h). Every
+// B panel is a contiguous run of 16-float cache lines, so the steady loop
+// advances B by exactly one line per reduction step — no row-pitch
+// strides, which is what makes the wide batch-1 serving forward
+// prefetch-friendly again.
 //
-// Bit-identity with the unpacked kernels above: each output element is one
-// ascending-k FMA chain into a single accumulator lane, then the identical
-// epilogue. Multi-k-block runs park the fp32 partial in C between blocks —
-// an exact store/reload — so the chain's value sequence is unchanged.
-// C-as-partial-storage is only legal when the output is overwritten
-// (accumulate=false); accumulate=true keeps the whole chain in registers
-// (block loop inside the kernel) because the unpacked epilogue adds the
-// original C LAST.
+// Bit-identity with Avx512MatMulRange followed by a bias/ReLU pass: each
+// output element is one ascending-k FMA chain into a single accumulator
+// lane, then that epilogue. Multi-k-block runs park the fp32 partial in C
+// between blocks — an exact store/reload — so the chain's value sequence
+// is unchanged.
 //
 // The bf16 kernels share this code via the Loader parameter: each packed
 // lane widens to fp32 on load (exact: bf16 is the upper half of the fp32
 // bits) and everything downstream is the same fp32 arithmetic.
 // ---------------------------------------------------------------------------
+
+/// Finishes one 16-lane vector of output: + bias, ReLU.
+inline __m512 Epilogue16(__m512 acc, const float* bias, size_t j,
+                         bool relu) {
+  if (bias != nullptr) acc = _mm512_add_ps(acc, _mm512_loadu_ps(bias + j));
+  if (relu) acc = _mm512_max_ps(acc, _mm512_setzero_ps());
+  return acc;
+}
 
 struct PackedLoadF32 {
   static __m512 Load(const float* p) { return _mm512_load_ps(p); }
@@ -251,8 +214,8 @@ struct PackedLoadBf16 {
 template <int R, typename Loader, typename Packed>
 inline void PackedPanelPair(const float* const* arows, const Packed& b,
                             size_t pb, size_t jp, float* const* crows,
-                            bool first, bool last, bool accumulate,
-                            const float* bias, bool relu) {
+                            bool first, bool last, const float* bias,
+                            bool relu) {
   const auto* p0 = b.Panel(pb, jp);
   const auto* p1 = b.Panel(pb, jp + 1);
   const size_t j = jp * 16;
@@ -278,20 +241,13 @@ inline void PackedPanelPair(const float* const* arows, const Packed& b,
       acc[r][1] = _mm512_fmadd_ps(av, b1, acc[r][1]);
     }
   }
-  if (last) {
-    for (int r = 0; r < R; ++r) {
-      _mm512_storeu_ps(
-          crows[r] + j,
-          Epilogue16(acc[r][0], crows[r], bias, j, accumulate, relu));
-      _mm512_storeu_ps(
-          crows[r] + j + 16,
-          Epilogue16(acc[r][1], crows[r], bias, j + 16, accumulate, relu));
+  for (int r = 0; r < R; ++r) {
+    if (last) {
+      acc[r][0] = Epilogue16(acc[r][0], bias, j, relu);
+      acc[r][1] = Epilogue16(acc[r][1], bias, j + 16, relu);
     }
-  } else {
-    for (int r = 0; r < R; ++r) {
-      _mm512_storeu_ps(crows[r] + j, acc[r][0]);
-      _mm512_storeu_ps(crows[r] + j + 16, acc[r][1]);
-    }
+    _mm512_storeu_ps(crows[r] + j, acc[r][0]);
+    _mm512_storeu_ps(crows[r] + j + 16, acc[r][1]);
   }
 }
 
@@ -299,8 +255,8 @@ inline void PackedPanelPair(const float* const* arows, const Packed& b,
 template <int R, typename Loader, typename Packed>
 inline void PackedPanelOne(const float* const* arows, const Packed& b,
                            size_t pb, size_t jp, float* const* crows,
-                           bool first, bool last, bool accumulate,
-                           const float* bias, bool relu) {
+                           bool first, bool last, const float* bias,
+                           bool relu) {
   const auto* p0 = b.Panel(pb, jp);
   const size_t j = jp * 16;
   const size_t k0 = b.BlockBegin(pb), kb = b.BlockRows(pb);
@@ -317,28 +273,20 @@ inline void PackedPanelOne(const float* const* arows, const Packed& b,
                                acc[r]);
     }
   }
-  if (last) {
-    for (int r = 0; r < R; ++r) {
-      _mm512_storeu_ps(
-          crows[r] + j,
-          Epilogue16(acc[r], crows[r], bias, j, accumulate, relu));
-    }
-  } else {
-    for (int r = 0; r < R; ++r) _mm512_storeu_ps(crows[r] + j, acc[r]);
+  for (int r = 0; r < R; ++r) {
+    if (last) acc[r] = Epilogue16(acc[r], bias, j, relu);
+    _mm512_storeu_ps(crows[r] + j, acc[r]);
   }
 }
 
 /// The ragged last panel (<16 live cols): B loads stay full-width (the
 /// panel is zero-padded, fma(a, 0, acc) == acc), C access is masked. The
-/// last-block epilogue mirrors MicroKernelTail exactly (unconditional add
-/// of a maybe-zero bias vector) so packed and unpacked tails stay
-/// bit-identical.
+/// last-block epilogue adds a maybe-zero bias vector unconditionally.
 template <int R, typename Loader, typename Packed>
 inline void PackedPanelRagged(const float* const* arows, const Packed& b,
                               size_t pb, size_t jp, size_t rem,
                               float* const* crows, bool first, bool last,
-                              bool accumulate, const float* bias,
-                              bool relu) {
+                              const float* bias, bool relu) {
   const auto* p0 = b.Panel(pb, jp);
   const size_t j = jp * 16;
   const size_t k0 = b.BlockBegin(pb), kb = b.BlockRows(pb);
@@ -363,18 +311,12 @@ inline void PackedPanelRagged(const float* const* arows, const Packed& b,
                               ? _mm512_maskz_loadu_ps(mask, bias + j)
                               : _mm512_setzero_ps();
     for (int r = 0; r < R; ++r) {
-      __m512 v = acc[r];
-      if (accumulate) {
-        v = _mm512_add_ps(v, _mm512_maskz_loadu_ps(mask, crows[r] + j));
-      }
-      v = _mm512_add_ps(v, bias_v);
-      if (relu) v = _mm512_max_ps(v, _mm512_setzero_ps());
-      _mm512_mask_storeu_ps(crows[r] + j, mask, v);
+      acc[r] = _mm512_add_ps(acc[r], bias_v);
+      if (relu) acc[r] = _mm512_max_ps(acc[r], _mm512_setzero_ps());
     }
-  } else {
-    for (int r = 0; r < R; ++r) {
-      _mm512_mask_storeu_ps(crows[r] + j, mask, acc[r]);
-    }
+  }
+  for (int r = 0; r < R; ++r) {
+    _mm512_mask_storeu_ps(crows[r] + j, mask, acc[r]);
   }
 }
 
@@ -382,137 +324,42 @@ inline void PackedPanelRagged(const float* const* arows, const Packed& b,
 template <int R, typename Loader, typename Packed>
 inline void PackedRowBlock(const float* const* arows, const Packed& b,
                            float* const* crows, size_t pb, bool first,
-                           bool last, bool accumulate, const float* bias,
-                           bool relu) {
+                           bool last, const float* bias, bool relu) {
   const size_t n = b.n();
   const size_t full = n / 16;
   size_t jp = 0;
   for (; jp + 2 <= full; jp += 2) {
-    PackedPanelPair<R, Loader>(arows, b, pb, jp, crows, first, last,
-                               accumulate, bias, relu);
+    PackedPanelPair<R, Loader>(arows, b, pb, jp, crows, first, last, bias,
+                               relu);
   }
   if (jp < full) {
-    PackedPanelOne<R, Loader>(arows, b, pb, jp, crows, first, last,
-                              accumulate, bias, relu);
+    PackedPanelOne<R, Loader>(arows, b, pb, jp, crows, first, last, bias,
+                              relu);
     ++jp;
   }
   if (jp * 16 < n) {
     PackedPanelRagged<R, Loader>(arows, b, pb, jp, n - jp * 16, crows,
-                                 first, last, accumulate, bias, relu);
-  }
-}
-
-/// Register-resident full-reduction row block: the block loop runs inside
-/// the accumulator lifetime, so C is never used as partial storage. Used
-/// when accumulate=true (the original C must survive until the epilogue)
-/// and for the k==0 edge (epilogue only).
-template <int R, typename Loader, typename Packed>
-inline void PackedRowBlockFullK(const float* const* arows, const Packed& b,
-                                float* const* crows, bool accumulate,
-                                const float* bias, bool relu) {
-  const size_t n = b.n();
-  const size_t nb = b.num_blocks();
-  const size_t full = n / 16;
-  for (size_t jp = 0; jp < full; ++jp) {
-    const size_t j = jp * 16;
-    __m512 acc[R];
-    for (int r = 0; r < R; ++r) acc[r] = _mm512_setzero_ps();
-    for (size_t pb = 0; pb < nb; ++pb) {
-      const auto* p0 = b.Panel(pb, jp);
-      const size_t k0 = b.BlockBegin(pb), kb = b.BlockRows(pb);
-      for (size_t kk = 0; kk < kb; ++kk) {
-        const __m512 b0 = Loader::Load(p0 + kk * 16);
-        for (int r = 0; r < R; ++r) {
-          acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(arows[r][k0 + kk]), b0,
-                                   acc[r]);
-        }
-      }
-    }
-    for (int r = 0; r < R; ++r) {
-      _mm512_storeu_ps(
-          crows[r] + j,
-          Epilogue16(acc[r], crows[r], bias, j, accumulate, relu));
-    }
-  }
-  if (full * 16 < n) {
-    const size_t j = full * 16;
-    const __mmask16 mask = TailMask16(n - j);
-    __m512 acc[R];
-    for (int r = 0; r < R; ++r) acc[r] = _mm512_setzero_ps();
-    for (size_t pb = 0; pb < nb; ++pb) {
-      const auto* p0 = b.Panel(pb, full);
-      const size_t k0 = b.BlockBegin(pb), kb = b.BlockRows(pb);
-      for (size_t kk = 0; kk < kb; ++kk) {
-        const __m512 b0 = Loader::Load(p0 + kk * 16);
-        for (int r = 0; r < R; ++r) {
-          acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(arows[r][k0 + kk]), b0,
-                                   acc[r]);
-        }
-      }
-    }
-    const __m512 bias_v = bias != nullptr
-                              ? _mm512_maskz_loadu_ps(mask, bias + j)
-                              : _mm512_setzero_ps();
-    for (int r = 0; r < R; ++r) {
-      __m512 v = acc[r];
-      if (accumulate) {
-        v = _mm512_add_ps(v, _mm512_maskz_loadu_ps(mask, crows[r] + j));
-      }
-      v = _mm512_add_ps(v, bias_v);
-      if (relu) v = _mm512_max_ps(v, _mm512_setzero_ps());
-      _mm512_mask_storeu_ps(crows[r] + j, mask, v);
-    }
+                                 first, last, bias, relu);
   }
 }
 
 template <typename Loader, typename Packed>
-void Avx512PackedEpilogueRange(const Matrix& a, const Packed& b, Matrix* c,
-                               size_t r0, size_t r1, bool accumulate,
-                               const float* bias, bool relu) {
+void Avx512PackedBiasActRange(const Matrix& a, const Packed& b, Matrix* c,
+                              size_t r0, size_t r1, const float* bias,
+                              bool relu) {
   const size_t k = a.cols(), n = b.n();
   assert(b.k() == k);
   assert(c->rows() == a.rows() && c->cols() == n);
   assert(r0 <= r1 && r1 <= a.rows());
   (void)k;
   if (n == 0 || r0 == r1) return;
-  const size_t nb = b.num_blocks();
+  // k == 0 has no blocks; one empty block still runs the epilogue.
+  const size_t nb = b.num_blocks() > 0 ? b.num_blocks() : 1;
   const float* arows[8];
   float* crows[8];
-
-  if (accumulate || nb == 0) {
-    // Register-resident chains (see PackedRowBlockFullK).
-    size_t i = r0;
-    for (; i + 8 <= r1; i += 8) {
-      for (int r = 0; r < 8; ++r) {
-        arows[r] = a.Row(i + r);
-        crows[r] = c->Row(i + r);
-      }
-      PackedRowBlockFullK<8, Loader>(arows, b, crows, accumulate, bias,
-                                     relu);
-    }
-    if (i < r1) {
-      const size_t rem = r1 - i;
-      for (size_t r = 0; r < rem; ++r) {
-        arows[r] = a.Row(i + r);
-        crows[r] = c->Row(i + r);
-      }
-      switch (rem) {
-        case 1: PackedRowBlockFullK<1, Loader>(arows, b, crows, accumulate, bias, relu); break;
-        case 2: PackedRowBlockFullK<2, Loader>(arows, b, crows, accumulate, bias, relu); break;
-        case 3: PackedRowBlockFullK<3, Loader>(arows, b, crows, accumulate, bias, relu); break;
-        case 4: PackedRowBlockFullK<4, Loader>(arows, b, crows, accumulate, bias, relu); break;
-        case 5: PackedRowBlockFullK<5, Loader>(arows, b, crows, accumulate, bias, relu); break;
-        case 6: PackedRowBlockFullK<6, Loader>(arows, b, crows, accumulate, bias, relu); break;
-        default: PackedRowBlockFullK<7, Loader>(arows, b, crows, accumulate, bias, relu); break;
-      }
-    }
-    return;
-  }
-
   // k-blocks outermost: one L2-sized block of packed B stays resident
   // while every row block of A streams against it; C carries the fp32
-  // partials between blocks (exact store/reload — accumulate is false
-  // here, so C has no prior value to preserve).
+  // partials between blocks.
   for (size_t pb = 0; pb < nb; ++pb) {
     const bool first = pb == 0, last = pb + 1 == nb;
     size_t i = r0;
@@ -521,8 +368,8 @@ void Avx512PackedEpilogueRange(const Matrix& a, const Packed& b, Matrix* c,
         arows[r] = a.Row(i + r);
         crows[r] = c->Row(i + r);
       }
-      PackedRowBlock<8, Loader>(arows, b, crows, pb, first, last,
-                                /*accumulate=*/false, bias, relu);
+      PackedRowBlock<8, Loader>(arows, b, crows, pb, first, last, bias,
+                                relu);
     }
     if (i < r1) {
       const size_t rem = r1 - i;
@@ -531,39 +378,16 @@ void Avx512PackedEpilogueRange(const Matrix& a, const Packed& b, Matrix* c,
         crows[r] = c->Row(i + r);
       }
       switch (rem) {
-        case 1: PackedRowBlock<1, Loader>(arows, b, crows, pb, first, last, false, bias, relu); break;
-        case 2: PackedRowBlock<2, Loader>(arows, b, crows, pb, first, last, false, bias, relu); break;
-        case 3: PackedRowBlock<3, Loader>(arows, b, crows, pb, first, last, false, bias, relu); break;
-        case 4: PackedRowBlock<4, Loader>(arows, b, crows, pb, first, last, false, bias, relu); break;
-        case 5: PackedRowBlock<5, Loader>(arows, b, crows, pb, first, last, false, bias, relu); break;
-        case 6: PackedRowBlock<6, Loader>(arows, b, crows, pb, first, last, false, bias, relu); break;
-        default: PackedRowBlock<7, Loader>(arows, b, crows, pb, first, last, false, bias, relu); break;
+        case 1: PackedRowBlock<1, Loader>(arows, b, crows, pb, first, last, bias, relu); break;
+        case 2: PackedRowBlock<2, Loader>(arows, b, crows, pb, first, last, bias, relu); break;
+        case 3: PackedRowBlock<3, Loader>(arows, b, crows, pb, first, last, bias, relu); break;
+        case 4: PackedRowBlock<4, Loader>(arows, b, crows, pb, first, last, bias, relu); break;
+        case 5: PackedRowBlock<5, Loader>(arows, b, crows, pb, first, last, bias, relu); break;
+        case 6: PackedRowBlock<6, Loader>(arows, b, crows, pb, first, last, bias, relu); break;
+        default: PackedRowBlock<7, Loader>(arows, b, crows, pb, first, last, bias, relu); break;
       }
     }
   }
-}
-
-void Avx512MatMulPackedRange(const Matrix& a, const PackedMatrix& b,
-                             Matrix* c, size_t r0, size_t r1,
-                             bool accumulate) {
-  Avx512PackedEpilogueRange<PackedLoadF32>(a, b, c, r0, r1, accumulate,
-                                           nullptr, false);
-}
-
-void Avx512MatMulPackedBiasActRange(const Matrix& a, const PackedMatrix& b,
-                                    Matrix* c, size_t r0, size_t r1,
-                                    const float* bias, bool relu) {
-  Avx512PackedEpilogueRange<PackedLoadF32>(a, b, c, r0, r1,
-                                           /*accumulate=*/false, bias, relu);
-}
-
-void Avx512MatMulPacked16BiasActRange(const Matrix& a,
-                                      const PackedMatrix16& b, Matrix* c,
-                                      size_t r0, size_t r1,
-                                      const float* bias, bool relu) {
-  Avx512PackedEpilogueRange<PackedLoadBf16>(a, b, c, r0, r1,
-                                            /*accumulate=*/false, bias,
-                                            relu);
 }
 
 // ---------------------------------------------------------------------------
@@ -587,7 +411,7 @@ inline __m512 DotAccum(const float* x, const float* y, size_t k) {
 }
 
 void Avx512MatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
-                             size_t r0, size_t r1, bool accumulate) {
+                             size_t r0, size_t r1) {
   const size_t k = a.cols(), n = b.rows();
   assert(b.cols() == k);
   assert(c->rows() == a.rows() && c->cols() == n);
@@ -596,8 +420,7 @@ void Avx512MatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
     const float* arow = a.Row(i);
     float* crow = c->Row(i);
     for (size_t j = 0; j < n; ++j) {
-      const float acc = _mm512_reduce_add_ps(DotAccum(arow, b.Row(j), k));
-      crow[j] = accumulate ? crow[j] + acc : acc;
+      crow[j] = _mm512_reduce_add_ps(DotAccum(arow, b.Row(j), k));
     }
   }
 }
@@ -643,13 +466,11 @@ void Avx512MatMulTransARange(const Matrix& a, const Matrix& b, Matrix* c,
 }
 
 void Avx512MatMulTransAOutputRange(const Matrix& a, const Matrix& b,
-                                   Matrix* c, size_t i_begin, size_t i_end,
-                                   bool accumulate) {
+                                   Matrix* c, size_t i_begin,
+                                   size_t i_end) {
   const size_t r = a.rows(), n = b.cols();
-  if (!accumulate) {
-    for (size_t i = i_begin; i < i_end; ++i) {
-      std::memset(c->Row(i), 0, n * sizeof(float));
-    }
+  for (size_t i = i_begin; i < i_end; ++i) {
+    std::memset(c->Row(i), 0, n * sizeof(float));
   }
   // rr stays the outer ascending loop so per-element accumulation order
   // matches Avx512MatMulTransARange exactly (bit-identical parallel runs).
@@ -667,44 +488,6 @@ void Avx512MatMulTransAOutputRange(const Matrix& a, const Matrix& b,
 // ---------------------------------------------------------------------------
 // Row/vector kernels.
 // ---------------------------------------------------------------------------
-
-void Avx512AddRowVector(Matrix* m, const float* bias) {
-  const size_t rows = m->rows(), cols = m->cols();
-  for (size_t i = 0; i < rows; ++i) {
-    float* row = m->Row(i);
-    size_t j = 0;
-    for (; j + 16 <= cols; j += 16) {
-      _mm512_storeu_ps(row + j, _mm512_add_ps(_mm512_loadu_ps(row + j),
-                                              _mm512_loadu_ps(bias + j)));
-    }
-    if (j < cols) {
-      const __mmask16 mask = TailMask16(cols - j);
-      _mm512_mask_storeu_ps(
-          row + j, mask,
-          _mm512_add_ps(_mm512_maskz_loadu_ps(mask, row + j),
-                        _mm512_maskz_loadu_ps(mask, bias + j)));
-    }
-  }
-}
-
-void Avx512ReluInPlace(Matrix* m) {
-  const __m512 zero = _mm512_setzero_ps();
-  const size_t rows = m->rows(), cols = m->cols();
-  for (size_t i = 0; i < rows; ++i) {
-    float* row = m->Row(i);
-    size_t j = 0;
-    for (; j + 16 <= cols; j += 16) {
-      _mm512_storeu_ps(row + j, _mm512_max_ps(_mm512_loadu_ps(row + j),
-                                              zero));
-    }
-    if (j < cols) {
-      const __mmask16 mask = TailMask16(cols - j);
-      _mm512_mask_storeu_ps(
-          row + j, mask,
-          _mm512_max_ps(_mm512_maskz_loadu_ps(mask, row + j), zero));
-    }
-  }
-}
 
 void Avx512Axpy(float alpha, const float* x, float* y, size_t n) {
   const __m512 a16 = _mm512_set1_ps(alpha);
@@ -882,19 +665,15 @@ void Avx512SincosEncode(float x, float freq_decay, float* out, size_t dim) {
 const KernelTable kAvx512Table = {
     "avx512",
     Avx512MatMulRange,
-    Avx512MatMulBiasActRange,
     Avx512MatMulTransBRange,
     Avx512MatMulTransARange,
     Avx512MatMulTransAOutputRange,
-    Avx512AddRowVector,
-    Avx512ReluInPlace,
     Avx512Axpy,
     Avx512ColumnSumsRange,
     Avx512AdamUpdate,
     Avx512SincosEncode,
-    Avx512MatMulPackedRange,
-    Avx512MatMulPackedBiasActRange,
-    Avx512MatMulPacked16BiasActRange,
+    Avx512PackedBiasActRange<PackedLoadF32, PackedMatrix>,
+    Avx512PackedBiasActRange<PackedLoadBf16, PackedMatrix16>,
 };
 
 }  // namespace

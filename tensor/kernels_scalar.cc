@@ -31,15 +31,13 @@ constexpr size_t kBlockK = 128;
 constexpr size_t kBlockJ = 128;
 
 void ScalarMatMulRange(const Matrix& a, const Matrix& b, Matrix* c,
-                       size_t row_begin, size_t row_end, bool accumulate) {
+                       size_t row_begin, size_t row_end) {
   const size_t k = a.cols(), n = b.cols();
   assert(b.rows() == k);
   assert(c->rows() == a.rows() && c->cols() == n);
   assert(row_begin <= row_end && row_end <= a.rows());
-  if (!accumulate) {
-    for (size_t i = row_begin; i < row_end; ++i) {
-      std::memset(c->Row(i), 0, n * sizeof(float));
-    }
+  for (size_t i = row_begin; i < row_end; ++i) {
+    std::memset(c->Row(i), 0, n * sizeof(float));
   }
   for (size_t j0 = 0; j0 < n; j0 += kBlockJ) {
     const size_t j1 = std::min(n, j0 + kBlockJ);
@@ -60,103 +58,23 @@ void ScalarMatMulRange(const Matrix& a, const Matrix& b, Matrix* c,
   }
 }
 
-void ScalarMatMulBiasActRange(const Matrix& a, const Matrix& b, Matrix* c,
+/// Packed panel lanes widen to fp32: identity for fp32 panels, exact
+/// (bits << 16) for bf16 ones.
+inline float Widen(float v) { return v; }
+inline float Widen(uint16_t v) { return Bf16ToFloat(v); }
+
+/// GEMM against packed B, then a separate bias/ReLU epilogue pass: the
+/// identical arithmetic to ScalarMatMulRange followed by `row[j] +
+/// bias[j]` and ReLU, so fp32 packed scalar results are bit-equal to that
+/// unpacked sequence. k-blocks ascend outermost and kk ascends within each
+/// block, so every output element accumulates over the reduction in the
+/// same ascending order as ScalarMatMulRange (whose j0/k0 blocking is also
+/// order-preserving per element) — including the av == 0 skip.
+template <typename Packed>
+void ScalarPackedBiasActRange(const Matrix& a, const Packed& b, Matrix* c,
                               size_t row_begin, size_t row_end,
                               const float* bias, bool relu) {
-  // GEMM then an epilogue pass — the identical arithmetic the pre-fusion
-  // callers ran (MatMul, then row[j] + bias[j], then ReLU), so scalar
-  // results are bit-equal to the historical three-pass sequence. Only the
-  // SIMD backends fuse the epilogue into the tile store.
-  ScalarMatMulRange(a, b, c, row_begin, row_end, /*accumulate=*/false);
-  const size_t n = b.cols();
-  for (size_t i = row_begin; i < row_end; ++i) {
-    float* row = c->Row(i);
-    if (bias != nullptr) {
-      if (relu) {
-        for (size_t j = 0; j < n; ++j) {
-          const float v = row[j] + bias[j];
-          row[j] = v > 0.0f ? v : 0.0f;
-        }
-      } else {
-        for (size_t j = 0; j < n; ++j) row[j] += bias[j];
-      }
-    } else if (relu) {
-      for (size_t j = 0; j < n; ++j) row[j] = row[j] > 0.0f ? row[j] : 0.0f;
-    }
-  }
-}
-
-void ScalarMatMulPackedRange(const Matrix& a, const PackedMatrix& b,
-                             Matrix* c, size_t row_begin, size_t row_end,
-                             bool accumulate) {
-  const size_t k = a.cols(), n = b.n();
-  assert(b.k() == k);
-  assert(c->rows() == a.rows() && c->cols() == n);
-  assert(row_begin <= row_end && row_end <= a.rows());
-  (void)k;
-  if (!accumulate) {
-    for (size_t i = row_begin; i < row_end; ++i) {
-      std::memset(c->Row(i), 0, n * sizeof(float));
-    }
-  }
-  // k-blocks ascend outermost and kk ascends within each block, so every
-  // output element accumulates over the reduction in the same ascending
-  // order as ScalarMatMulRange (whose j0/k0 blocking is also order-
-  // preserving per element) — bit-identical, including the av == 0 skip.
-  const size_t panels = b.panels();
-  const size_t nb = b.num_blocks();
-  for (size_t pb = 0; pb < nb; ++pb) {
-    const size_t k0 = b.BlockBegin(pb);
-    const size_t rows = b.BlockRows(pb);
-    for (size_t jp = 0; jp < panels; ++jp) {
-      const float* panel = b.Panel(pb, jp);
-      const size_t j0 = jp * PackedMatrix::kPanelCols;
-      const size_t w = n - j0 < PackedMatrix::kPanelCols
-                           ? n - j0
-                           : PackedMatrix::kPanelCols;
-      for (size_t i = row_begin; i < row_end; ++i) {
-        const float* arow = a.Row(i) + k0;
-        float* crow = c->Row(i) + j0;
-        for (size_t kk = 0; kk < rows; ++kk) {
-          const float av = arow[kk];
-          if (av == 0.0f) continue;  // masked/sparse rows are common
-          const float* brow = panel + kk * PackedMatrix::kPanelCols;
-          for (size_t j = 0; j < w; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  }
-}
-
-void ScalarMatMulPackedBiasActRange(const Matrix& a, const PackedMatrix& b,
-                                    Matrix* c, size_t row_begin,
-                                    size_t row_end, const float* bias,
-                                    bool relu) {
-  // GEMM then a separate epilogue pass, mirroring ScalarMatMulBiasActRange
-  // so packed scalar results stay bit-equal to unpacked scalar ones.
-  ScalarMatMulPackedRange(a, b, c, row_begin, row_end, /*accumulate=*/false);
-  const size_t n = b.n();
-  for (size_t i = row_begin; i < row_end; ++i) {
-    float* row = c->Row(i);
-    if (bias != nullptr) {
-      if (relu) {
-        for (size_t j = 0; j < n; ++j) {
-          const float v = row[j] + bias[j];
-          row[j] = v > 0.0f ? v : 0.0f;
-        }
-      } else {
-        for (size_t j = 0; j < n; ++j) row[j] += bias[j];
-      }
-    } else if (relu) {
-      for (size_t j = 0; j < n; ++j) row[j] = row[j] > 0.0f ? row[j] : 0.0f;
-    }
-  }
-}
-
-void ScalarMatMulPacked16BiasActRange(const Matrix& a,
-                                      const PackedMatrix16& b, Matrix* c,
-                                      size_t row_begin, size_t row_end,
-                                      const float* bias, bool relu) {
+  constexpr size_t kCols = Packed::kPanelCols;
   const size_t k = a.cols(), n = b.n();
   assert(b.k() == k);
   assert(c->rows() == a.rows() && c->cols() == n);
@@ -165,29 +83,23 @@ void ScalarMatMulPacked16BiasActRange(const Matrix& a,
   for (size_t i = row_begin; i < row_end; ++i) {
     std::memset(c->Row(i), 0, n * sizeof(float));
   }
-  // Same loop structure as the fp32 packed kernel; each bf16 lane widens
-  // exactly (bits << 16) and all accumulation stays fp32.
   const size_t panels = b.panels();
   const size_t nb = b.num_blocks();
   for (size_t pb = 0; pb < nb; ++pb) {
     const size_t k0 = b.BlockBegin(pb);
     const size_t rows = b.BlockRows(pb);
     for (size_t jp = 0; jp < panels; ++jp) {
-      const uint16_t* panel = b.Panel(pb, jp);
-      const size_t j0 = jp * PackedMatrix16::kPanelCols;
-      const size_t w = n - j0 < PackedMatrix16::kPanelCols
-                           ? n - j0
-                           : PackedMatrix16::kPanelCols;
+      const auto* panel = b.Panel(pb, jp);
+      const size_t j0 = jp * kCols;
+      const size_t w = n - j0 < kCols ? n - j0 : kCols;
       for (size_t i = row_begin; i < row_end; ++i) {
         const float* arow = a.Row(i) + k0;
         float* crow = c->Row(i) + j0;
         for (size_t kk = 0; kk < rows; ++kk) {
           const float av = arow[kk];
-          if (av == 0.0f) continue;
-          const uint16_t* brow = panel + kk * PackedMatrix16::kPanelCols;
-          for (size_t j = 0; j < w; ++j) {
-            crow[j] += av * Bf16ToFloat(brow[j]);
-          }
+          if (av == 0.0f) continue;  // masked/sparse rows are common
+          const auto* brow = panel + kk * kCols;
+          for (size_t j = 0; j < w; ++j) crow[j] += av * Widen(brow[j]);
         }
       }
     }
@@ -210,8 +122,7 @@ void ScalarMatMulPacked16BiasActRange(const Matrix& a,
 }
 
 void ScalarMatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
-                             size_t row_begin, size_t row_end,
-                             bool accumulate) {
+                             size_t row_begin, size_t row_end) {
   const size_t k = a.cols(), n = b.rows();
   assert(b.cols() == k);
   assert(c->rows() == a.rows() && c->cols() == n);
@@ -232,7 +143,7 @@ void ScalarMatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
       }
       float acc = (acc0 + acc1) + (acc2 + acc3);
       for (; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      crow[j] = accumulate ? crow[j] + acc : acc;
+      crow[j] = acc;
     }
   }
 }
@@ -264,13 +175,11 @@ void ScalarMatMulTransARange(const Matrix& a, const Matrix& b, Matrix* c,
 /// output element still accumulates over rr in ascending order, so the
 /// result is bit-identical to the serial kernel.
 void ScalarMatMulTransAOutputRange(const Matrix& a, const Matrix& b,
-                                   Matrix* c, size_t i_begin, size_t i_end,
-                                   bool accumulate) {
+                                   Matrix* c, size_t i_begin,
+                                   size_t i_end) {
   const size_t r = a.rows(), n = b.cols();
-  if (!accumulate) {
-    for (size_t i = i_begin; i < i_end; ++i) {
-      std::memset(c->Row(i), 0, n * sizeof(float));
-    }
+  for (size_t i = i_begin; i < i_end; ++i) {
+    std::memset(c->Row(i), 0, n * sizeof(float));
   }
   for (size_t rr = 0; rr < r; ++rr) {
     const float* arow = a.Row(rr);
@@ -281,28 +190,6 @@ void ScalarMatMulTransAOutputRange(const Matrix& a, const Matrix& b,
       float* crow = c->Row(i);
       for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
-  }
-}
-
-void ScalarAddRowVector(Matrix* m, const float* bias) {
-  const size_t rows = m->rows(), cols = m->cols();
-  for (size_t i = 0; i < rows; ++i) {
-    float* row = m->Row(i);
-    for (size_t j = 0; j < cols; ++j) row[j] += bias[j];
-  }
-}
-
-void ScalarReluInPlace(Matrix* m) {
-  if (m->IsContiguous()) {
-    float* p = m->data();
-    const size_t n = m->size();
-    for (size_t i = 0; i < n; ++i) p[i] = p[i] > 0.0f ? p[i] : 0.0f;
-    return;
-  }
-  const size_t rows = m->rows(), cols = m->cols();
-  for (size_t i = 0; i < rows; ++i) {
-    float* row = m->Row(i);
-    for (size_t j = 0; j < cols; ++j) row[j] = row[j] > 0.0f ? row[j] : 0.0f;
   }
 }
 
@@ -346,19 +233,15 @@ void ScalarSincosEncode(float x, float freq_decay, float* out, size_t dim) {
 const KernelTable kScalarTable = {
     "scalar",
     ScalarMatMulRange,
-    ScalarMatMulBiasActRange,
     ScalarMatMulTransBRange,
     ScalarMatMulTransARange,
     ScalarMatMulTransAOutputRange,
-    ScalarAddRowVector,
-    ScalarReluInPlace,
     ScalarAxpy,
     ScalarColumnSumsRange,
     ScalarAdamUpdate,
     ScalarSincosEncode,
-    ScalarMatMulPackedRange,
-    ScalarMatMulPackedBiasActRange,
-    ScalarMatMulPacked16BiasActRange,
+    ScalarPackedBiasActRange<PackedMatrix>,
+    ScalarPackedBiasActRange<PackedMatrix16>,
 };
 
 }  // namespace

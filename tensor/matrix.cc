@@ -3,7 +3,7 @@
 // Parallel entry points for the dense kernels: partition output rows on
 // the global ThreadPool when the flop count clears the gate, then hand
 // each range to the runtime-selected backend (tensor/simd.h). The serial
-// kernel bodies themselves live in tensor/kernels_{scalar,avx2}.cc;
+// kernel bodies themselves live in tensor/kernels_{scalar,avx2,avx512}.cc;
 // per-element accumulation order never depends on the partition, so for a
 // fixed backend parallel results are bit-identical to serial ones.
 
@@ -50,39 +50,17 @@ bool ParallelRows(size_t rows, size_t flops, const Fn& fn) {
 }  // namespace
 
 void MatMulRange(const Matrix& a, const Matrix& b, Matrix* c,
-                 size_t row_begin, size_t row_end, bool accumulate) {
-  Kernels().matmul_range(a, b, c, row_begin, row_end, accumulate);
+                 size_t row_begin, size_t row_end) {
+  Kernels().matmul_range(a, b, c, row_begin, row_end);
 }
 
-void MatMul(const Matrix& a, const Matrix& b, Matrix* c, bool accumulate) {
+void MatMul(const Matrix& a, const Matrix& b, Matrix* c) {
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
   const KernelTable& kt = Kernels();
   if (!ParallelRows(m, 2 * m * k * n, [&](size_t r0, size_t r1) {
-        kt.matmul_range(a, b, c, r0, r1, accumulate);
+        kt.matmul_range(a, b, c, r0, r1);
       })) {
-    kt.matmul_range(a, b, c, 0, m, accumulate);
-  }
-}
-
-void MatMulBiasActRange(const Matrix& a, const Matrix& b, Matrix* c,
-                        size_t row_begin, size_t row_end, const float* bias,
-                        bool relu) {
-  Kernels().matmul_bias_act_range(a, b, c, row_begin, row_end, bias, relu);
-}
-
-void MatMulPackedRange(const Matrix& a, const PackedMatrix& b, Matrix* c,
-                       size_t row_begin, size_t row_end, bool accumulate) {
-  Kernels().matmul_packed_range(a, b, c, row_begin, row_end, accumulate);
-}
-
-void MatMulPacked(const Matrix& a, const PackedMatrix& b, Matrix* c,
-                  bool accumulate) {
-  const size_t m = a.rows(), k = a.cols(), n = b.n();
-  const KernelTable& kt = Kernels();
-  if (!ParallelRows(m, 2 * m * k * n, [&](size_t r0, size_t r1) {
-        kt.matmul_packed_range(a, b, c, r0, r1, accumulate);
-      })) {
-    kt.matmul_packed_range(a, b, c, 0, m, accumulate);
+    kt.matmul_range(a, b, c, 0, m);
   }
 }
 
@@ -101,19 +79,8 @@ void MatMulPacked16BiasActRange(const Matrix& a, const PackedMatrix16& b,
 }
 
 void MatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
-                       size_t row_begin, size_t row_end, bool accumulate) {
-  Kernels().matmul_transb_range(a, b, c, row_begin, row_end, accumulate);
-}
-
-void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* c,
-                  bool accumulate) {
-  const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  const KernelTable& kt = Kernels();
-  if (!ParallelRows(m, 2 * m * k * n, [&](size_t r0, size_t r1) {
-        kt.matmul_transb_range(a, b, c, r0, r1, accumulate);
-      })) {
-    kt.matmul_transb_range(a, b, c, 0, m, accumulate);
-  }
+                       size_t row_begin, size_t row_end) {
+  Kernels().matmul_transb_range(a, b, c, row_begin, row_end);
 }
 
 void MatMulTransARange(const Matrix& a, const Matrix& b, Matrix* c,
@@ -121,36 +88,23 @@ void MatMulTransARange(const Matrix& a, const Matrix& b, Matrix* c,
   Kernels().matmul_transa_range(a, b, c, r_begin, r_end);
 }
 
-void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* c,
-                  bool accumulate) {
+void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* c) {
   const size_t r = a.rows(), m = a.cols(), n = b.cols();
   assert(b.rows() == r);
   assert(c->rows() == m && c->cols() == n);
   const KernelTable& kt = Kernels();
   if (!ParallelRows(m, 2 * r * m * n, [&](size_t i0, size_t i1) {
-        kt.matmul_transa_output_range(a, b, c, i0, i1, accumulate);
+        kt.matmul_transa_output_range(a, b, c, i0, i1);
       })) {
-    if (!accumulate) {
-      for (size_t i = 0; i < m; ++i) {
-        std::memset(c->Row(i), 0, n * sizeof(float));
-      }
+    for (size_t i = 0; i < m; ++i) {
+      std::memset(c->Row(i), 0, n * sizeof(float));
     }
     kt.matmul_transa_range(a, b, c, 0, r);
   }
 }
 
-void AddRowVector(Matrix* m, const float* bias) {
-  Kernels().add_row_vector(m, bias);
-}
-
-void ReluInPlace(Matrix* m) { Kernels().relu_inplace(m); }
-
 void Axpy(float alpha, const float* x, float* y, size_t n) {
   Kernels().axpy(alpha, x, y, n);
-}
-
-void ColumnSums(const Matrix& m, float* out) {
-  ColumnSumsRange(m, out, 0, m.rows(), /*accumulate=*/false);
 }
 
 void ColumnSumsRange(const Matrix& m, float* out, size_t row_begin,

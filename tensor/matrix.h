@@ -226,7 +226,7 @@ class Matrix {
 // Dense kernels. All of them require the output to be pre-sized by the
 // caller; none of them allocate. Every kernel is stride-aware (operands may
 // be padded) and dispatches to the runtime-selected backend (tensor/simd.h;
-// SPLASH_KERNEL={scalar,avx2,auto}).
+// SPLASH_KERNEL={scalar,avx2,avx512,auto}).
 //
 // The top-level kernels run on the global ThreadPool when the flop count
 // clears a threshold (small GEMMs stay serial) by partitioning output rows;
@@ -237,36 +237,21 @@ class Matrix {
 // nested fan-out.
 // ---------------------------------------------------------------------------
 
-/// c = a * b (+ c if accumulate). a: MxK, b: KxN, c: MxN.
-void MatMul(const Matrix& a, const Matrix& b, Matrix* c,
-            bool accumulate = false);
+/// c = a * b. a: MxK, b: KxN, c: MxN.
+void MatMul(const Matrix& a, const Matrix& b, Matrix* c);
 
 /// MatMul restricted to output rows [row_begin, row_end): only those rows
-/// of `c` are written (and zeroed first unless accumulate).
+/// of `c` are written.
 void MatMulRange(const Matrix& a, const Matrix& b, Matrix* c,
-                 size_t row_begin, size_t row_end, bool accumulate = false);
+                 size_t row_begin, size_t row_end);
 
-/// Fused GEMM epilogue: c rows [row_begin, row_end) = act(a * b + bias),
-/// where bias (b.cols() entries, may be null) is added into the tile store
-/// and act is ReLU when `relu` — one pass instead of GEMM + AddRowVector +
-/// ReluInPlace. The scalar backend computes the identical arithmetic to
-/// that three-pass sequence, so it stays the bit-exact reference.
-void MatMulBiasActRange(const Matrix& a, const Matrix& b, Matrix* c,
-                        size_t row_begin, size_t row_end, const float* bias,
-                        bool relu);
-
-/// c = a * b^T (+ c if accumulate). a: MxK, b: NxK, c: MxN.
-void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* c,
-                  bool accumulate = false);
-
-/// MatMulTransB restricted to output rows [row_begin, row_end).
+/// c = a * b^T restricted to output rows [row_begin, row_end).
+/// a: MxK, b: NxK, c: MxN.
 void MatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
-                       size_t row_begin, size_t row_end,
-                       bool accumulate = false);
+                       size_t row_begin, size_t row_end);
 
-/// c = a^T * b (+ c if accumulate). a: RxM, b: RxN, c: MxN.
-void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* c,
-                  bool accumulate = false);
+/// c = a^T * b. a: RxM, b: RxN, c: MxN.
+void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* c);
 
 /// MatMulTransA restricted to *reduction* rows [r_begin, r_end) of a/b:
 /// c += a[r_begin:r_end)^T * b[r_begin:r_end). ALWAYS accumulates and
@@ -278,20 +263,11 @@ void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* c,
 void MatMulTransARange(const Matrix& a, const Matrix& b, Matrix* c,
                        size_t r_begin, size_t r_end);
 
-/// m[r, :] += bias for every row r. bias has m->cols() entries.
-void AddRowVector(Matrix* m, const float* bias);
-
-/// In-place ReLU.
-void ReluInPlace(Matrix* m);
-
 /// y[i] += alpha * x[i] for i in [0, n).
 void Axpy(float alpha, const float* x, float* y, size_t n);
 
-/// out[j] = sum_r m(r, j): column sums, out has m.cols() entries.
-void ColumnSums(const Matrix& m, float* out);
-
-/// Column sums over rows [row_begin, row_end) only; adds into `out` when
-/// accumulate, overwrites otherwise.
+/// out[j] = sum of m(r, j) over rows [row_begin, row_end); out has
+/// m.cols() entries. Adds into `out` when accumulate, overwrites otherwise.
 void ColumnSumsRange(const Matrix& m, float* out, size_t row_begin,
                      size_t row_end, bool accumulate = false);
 

@@ -20,7 +20,7 @@
 //
 // Per-element FMA order is untouched by packing: every packed kernel
 // accumulates one output element over ascending reduction index exactly
-// like its unpacked sibling (zero-padded lanes contribute fma(a, 0, acc)
+// like unpacked matmul_range (zero-padded lanes contribute fma(a, 0, acc)
 // == acc), so packed results are BIT-IDENTICAL to unpacked results within
 // one backend, and the scalar backend remains the determinism reference.
 //
@@ -204,20 +204,13 @@ class PackedMatrix16 {
 // ---------------------------------------------------------------------------
 // Packed dispatch entry points (implemented in tensor/matrix.cc over the
 // runtime-selected backend, tensor/simd.h). Same contracts as the unpacked
-// kernels in tensor/matrix.h: outputs pre-sized, nothing allocates, results
-// bit-identical to the unpacked sibling on the same backend.
+// kernels in tensor/matrix.h: outputs pre-sized, nothing allocates, fp32
+// results bit-identical to MatMulRange plus a bias/ReLU pass on the same
+// backend.
 // ---------------------------------------------------------------------------
 
-/// c rows [r0, r1) = a * B (+ c if accumulate). a: M x k, c: M x n.
-void MatMulPackedRange(const Matrix& a, const PackedMatrix& b, Matrix* c,
-                       size_t row_begin, size_t row_end,
-                       bool accumulate = false);
-
-/// Row-parallel wrapper over MatMulPackedRange (same gate as MatMul).
-void MatMulPacked(const Matrix& a, const PackedMatrix& b, Matrix* c,
-                  bool accumulate = false);
-
 /// Fused epilogue against packed B: c rows [r0, r1) = act(a * B + bias).
+/// a: M x k, c: M x n; bias nullable, act = ReLU when `relu`.
 void MatMulPackedBiasActRange(const Matrix& a, const PackedMatrix& b,
                               Matrix* c, size_t row_begin, size_t row_end,
                               const float* bias, bool relu);

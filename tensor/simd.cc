@@ -18,11 +18,6 @@ namespace {
 
 std::atomic<const KernelTable*> g_kernels{nullptr};
 
-// Packed-GEMM kernel-selection knob: -1 unresolved, else 0/1. Resolved
-// once from SPLASH_GEMM_PACK on first use (same benign-race pattern as
-// the kernel table).
-std::atomic<int> g_gemm_pack{-1};
-
 const KernelTable* TableByName(const char* name) {
   if (std::strcmp(name, "avx512") == 0) return GetAvx512Kernels();
   if (std::strcmp(name, "avx2") == 0) return GetAvx2Kernels();
@@ -137,31 +132,6 @@ bool SetKernelBackendForTesting(const char* name) {
   }
   g_kernels.store(t, std::memory_order_release);
   return true;
-}
-
-bool GemmPackEnabled() {
-  int v = g_gemm_pack.load(std::memory_order_acquire);
-  if (v < 0) {
-    const char* env = std::getenv("SPLASH_GEMM_PACK");
-    v = 1;
-    if (env != nullptr && *env != '\0') {
-      if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) {
-        v = 0;
-      } else if (std::strcmp(env, "on") != 0 &&
-                 std::strcmp(env, "1") != 0) {
-        std::fprintf(stderr,
-                     "splash: unknown SPLASH_GEMM_PACK value '%s' (want on "
-                     "or off); using on\n",
-                     env);
-      }
-    }
-    g_gemm_pack.store(v, std::memory_order_release);
-  }
-  return v != 0;
-}
-
-void SetGemmPackForTesting(bool enabled) {
-  g_gemm_pack.store(enabled ? 1 : 0, std::memory_order_release);
 }
 
 namespace {

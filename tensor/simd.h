@@ -3,7 +3,11 @@
 // Runtime-dispatched SIMD kernel backend (DESIGN.md §6). Every dense hot
 // path in the repo (core/slim.cc forward/backward/Adam, SolveRidge gram
 // products, the serve/ query path) flows through one kernel table resolved
-// ONCE per process:
+// ONCE per process. The table holds one row per job a library caller
+// runs, and one GEMM path per job: the SLIM dense layers always take the
+// packed fused kernel (fp32, or bf16 on the const read path); unpacked
+// matmul_range serves the feature-selection probe scores and stays the
+// in-backend bit-exact reference for the packed kernels. Backends:
 //
 //   1. SPLASH_KERNEL=scalar  -> the scalar reference backend (the former
 //                               tensor/matrix.cc loops, verbatim): the
@@ -48,30 +52,22 @@ class PackedMatrix16;
 struct KernelTable {
   const char* name;  // "scalar" | "avx2" | "avx512"
 
-  /// c rows [r0, r1) = a * b (+ c if accumulate). a MxK, b KxN, c MxN.
+  /// c rows [r0, r1) = a * b. a MxK, b KxN, c MxN.
   void (*matmul_range)(const Matrix& a, const Matrix& b, Matrix* c,
-                       size_t r0, size_t r1, bool accumulate);
-  /// Fused epilogue: c rows [r0, r1) = act(a * b + bias); bias nullable
-  /// (b.cols() entries), act = ReLU when relu.
-  void (*matmul_bias_act_range)(const Matrix& a, const Matrix& b, Matrix* c,
-                                size_t r0, size_t r1, const float* bias,
-                                bool relu);
-  /// c rows [r0, r1) = a * b^T (+ c if accumulate). a MxK, b NxK, c MxN.
+                       size_t r0, size_t r1);
+  /// c rows [r0, r1) = a * b^T. a MxK, b NxK, c MxN.
   void (*matmul_transb_range)(const Matrix& a, const Matrix& b, Matrix* c,
-                              size_t r0, size_t r1, bool accumulate);
+                              size_t r0, size_t r1);
   /// c += a[r0:r1)^T * b[r0:r1) — reduction-row range, never zeroes c
   /// (callers pre-zero; see MatMulTransARange in tensor/matrix.h).
   void (*matmul_transa_range)(const Matrix& a, const Matrix& b, Matrix* c,
                               size_t r0, size_t r1);
-  /// Output-row partition of a^T b over the FULL reduction: c rows
-  /// [i0, i1) (+ c if accumulate); used by the parallel wrapper so worker
+  /// Output-row partition of a^T b over the FULL reduction: zeroes, then
+  /// writes, c rows [i0, i1); used by the parallel wrapper so worker
   /// writes stay disjoint. Accumulates over reduction rows in ascending
   /// order — bit-identical to matmul_transa_range on the same backend.
   void (*matmul_transa_output_range)(const Matrix& a, const Matrix& b,
-                                     Matrix* c, size_t i0, size_t i1,
-                                     bool accumulate);
-  void (*add_row_vector)(Matrix* m, const float* bias);
-  void (*relu_inplace)(Matrix* m);
+                                     Matrix* c, size_t i0, size_t i1);
   void (*axpy)(float alpha, const float* x, float* y, size_t n);
   void (*column_sums_range)(const Matrix& m, float* out, size_t r0,
                             size_t r1, bool accumulate);
@@ -88,17 +84,12 @@ struct KernelTable {
   /// Scalar uses libm (the bit-exact reference); avx2/avx512 use an 8/16-
   /// lane Cody-Waite + minimax polynomial sincos (~1e-7 absolute error).
   void (*sincos_encode)(float x, float freq_decay, float* out, size_t dim);
-  /// Packed-B GEMM (tensor/packed.h): c rows [r0, r1) = a * B (+ c if
-  /// accumulate). Streams B one contiguous 16-float panel line per
-  /// reduction step; per-element FMA order matches matmul_range on the
-  /// same backend exactly, so packed results are bit-identical to
-  /// unpacked ones within one backend.
-  void (*matmul_packed_range)(const Matrix& a, const PackedMatrix& b,
-                              Matrix* c, size_t r0, size_t r1,
-                              bool accumulate);
-  /// Fused epilogue against packed B: c rows [r0, r1) = act(a * B + bias);
-  /// bias nullable (b.n() entries), act = ReLU when relu. Bit-identical to
-  /// matmul_bias_act_range on the same backend.
+  /// Fused epilogue against packed B (tensor/packed.h): c rows [r0, r1) =
+  /// act(a * B + bias); bias nullable (b.n() entries), act = ReLU when
+  /// relu. Streams B one contiguous 16-float panel line per reduction
+  /// step; per-element FMA order matches matmul_range on the same backend
+  /// exactly, so the result is bit-identical to matmul_range followed by a
+  /// `row[j] + bias[j]`, then ReLU, pass within one backend.
   void (*matmul_packed_bias_act_range)(const Matrix& a,
                                        const PackedMatrix& b, Matrix* c,
                                        size_t r0, size_t r1,
@@ -170,16 +161,6 @@ const CacheTopology& DetectCacheTopology();
 /// ("detect-failed" fallback values render the same way with a trailing
 /// ",fallback" marker).
 std::string CacheTopologyString();
-
-/// Whether the packed-B GEMM tier is active. Resolved once from
-/// SPLASH_GEMM_PACK={on,off} (default on); packing still happens either
-/// way (grow-only, cheap), this knob only gates kernel selection so the
-/// CI matrix can exercise both paths on identical state.
-bool GemmPackEnabled();
-
-/// Overrides the pack knob for tests/benches. Not thread-safe against
-/// concurrent kernel calls — call from test set-up only.
-void SetGemmPackForTesting(bool enabled);
 
 }  // namespace splash
 

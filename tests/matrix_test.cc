@@ -54,26 +54,12 @@ TEST(MatrixTest, MatMulMatchesNaiveAcrossShapes) {
   }
 }
 
-TEST(MatrixTest, MatMulAccumulates) {
-  Rng rng(2);
-  const Matrix a = Matrix::Gaussian(4, 6, &rng);
-  const Matrix b = Matrix::Gaussian(6, 3, &rng);
-  Matrix c = Matrix::Ones(4, 3);
-  MatMul(a, b, &c, /*accumulate=*/true);
-  const Matrix ref = NaiveMatMul(a, b);
-  for (size_t i = 0; i < c.rows(); ++i) {
-    for (size_t j = 0; j < c.cols(); ++j) {
-      EXPECT_NEAR(c(i, j), ref(i, j) + 1.0f, 1e-4f);
-    }
-  }
-}
-
 TEST(MatrixTest, TransposedVariantsMatchNaive) {
   Rng rng(3);
   const Matrix a = Matrix::Gaussian(9, 13, &rng);   // MxK
   const Matrix bt = Matrix::Gaussian(11, 13, &rng);  // NxK
   Matrix c(9, 11);
-  MatMulTransB(a, bt, &c);
+  MatMulTransBRange(a, bt, &c, 0, 9);
   for (size_t i = 0; i < 9; ++i) {
     for (size_t j = 0; j < 11; ++j) {
       float acc = 0.0f;
@@ -95,23 +81,20 @@ TEST(MatrixTest, TransposedVariantsMatchNaive) {
   }
 }
 
-TEST(MatrixTest, RowOpsAndRelu) {
-  Matrix m(2, 3);
-  m(0, 0) = -1.0f;
-  m(0, 1) = 2.0f;
-  m(1, 2) = -5.0f;
-  const float bias[3] = {1.0f, 1.0f, 1.0f};
-  AddRowVector(&m, bias);
-  ReluInPlace(&m);
-  EXPECT_FLOAT_EQ(m(0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(m(0, 1), 3.0f);
-  EXPECT_FLOAT_EQ(m(1, 2), 0.0f);
-  EXPECT_FLOAT_EQ(m(1, 0), 1.0f);
-
-  float sums[3];
-  ColumnSums(m, sums);
-  EXPECT_FLOAT_EQ(sums[0], m(0, 0) + m(1, 0));
-  EXPECT_FLOAT_EQ(sums[1], m(0, 1) + m(1, 1));
+TEST(MatrixTest, ColumnSumsRangeOverwritesOrAccumulates) {
+  Rng rng(4);
+  const Matrix m = Matrix::Gaussian(7, 5, &rng);
+  float sums[5];
+  ColumnSumsRange(m, sums, 2, 6);
+  for (size_t j = 0; j < 5; ++j) {
+    EXPECT_NEAR(sums[j], m(2, j) + m(3, j) + m(4, j) + m(5, j), 1e-5f);
+  }
+  ColumnSumsRange(m, sums, 0, 2, /*accumulate=*/true);
+  for (size_t j = 0; j < 5; ++j) {
+    float want = 0.0f;
+    for (size_t i = 0; i < 6; ++i) want += m(i, j);
+    EXPECT_NEAR(sums[j], want, 1e-5f);
+  }
 }
 
 TEST(MatrixTest, ResizeIsGrowOnlyStorage) {

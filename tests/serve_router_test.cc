@@ -558,35 +558,6 @@ TEST_F(ServeRouterTest, MergedStatsAreExactAggregates) {
   EXPECT_EQ(merged.predict.count, 20u);
 }
 
-TEST_F(ServeRouterTest, LatencySummaryMergeFromIsCountWeighted) {
-  LatencyHistogram ha, hb;
-  for (int i = 0; i < 100; ++i) ha.RecordNs(100);
-  for (int i = 0; i < 300; ++i) hb.RecordNs(500);
-  LatencySummary a = ha.Summarize();
-  const LatencySummary b = hb.Summarize();
-  a.MergeFrom(b);
-  EXPECT_EQ(a.count, 400u);
-  EXPECT_DOUBLE_EQ(a.mean_ns, (100.0 * 100 + 300.0 * 500) / 400.0);
-  EXPECT_EQ(a.min_ns, 100u);
-  EXPECT_EQ(a.max_ns, 500u);
-  // Quantiles take the max of the parts: an upper bound on the union
-  // quantile (exact union quantiles come from histogram merges).
-  LatencyHistogram hu;
-  hu.Merge(ha);
-  hu.Merge(hb);
-  EXPECT_GE(a.p50_ns, hu.Summarize().p50_ns);
-  EXPECT_GE(a.p99_ns, hu.Summarize().p99_ns);
-  // Merging an empty summary is the identity.
-  LatencySummary empty;
-  a.MergeFrom(empty);
-  EXPECT_EQ(a.count, 400u);
-  // Merging INTO an empty summary copies.
-  LatencySummary into;
-  into.MergeFrom(b);
-  EXPECT_EQ(into.count, b.count);
-  EXPECT_EQ(into.max_ns, b.max_ns);
-}
-
 // ---------------------------------------------------------------------------
 // IngestResult classification + Validate() field naming (API redesign).
 // ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@
 // includes ragged tails, each SIMD backend (avx2, avx512) must match the
 // scalar reference within a 4-ulp relative tolerance (relative to the
 // element's absolute dot mass, so cancellation does not inflate the bound
-// into meaningless territory). Also pins the dispatch-resolution logic, the
-// padded-layout bit-equality (padding must never change arithmetic), and
-// the scalar-backend bit-equality of the fused epilogue vs the three-pass
-// sequence it replaced.
+// into meaningless territory). Also pins the dispatch-resolution logic and
+// the padded-layout bit-equality (padding must never change arithmetic).
+// The packed fused kernel's bit-equality with unpacked GEMM + bias + ReLU
+// passes lives in packed_gemm_test.
 
 #include "tensor/simd.h"
 
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "tensor/matrix.h"
+#include "tensor/packed.h"
 #include "tensor/rng.h"
 
 namespace splash {
@@ -103,17 +104,9 @@ TEST(SimdKernelsTest, MatMulScalarVsSimdAcrossShapeSweep) {
           g.c_scalar = Matrix(m, n);
           g.c_simd = Matrix(m, n);
           FillMassAB(&g);
-          s->matmul_range(g.a, g.b, &g.c_scalar, 0, m, false);
-          x->matmul_range(g.a, g.b, &g.c_simd, 0, m, false);
+          s->matmul_range(g.a, g.b, &g.c_scalar, 0, m);
+          x->matmul_range(g.a, g.b, &g.c_simd, 0, m);
           CompareOutputs(g, x->name);
-
-          // Accumulate path: both sides start from the same prior.
-          Matrix acc_s = Matrix::Ones(m, n), acc_x = Matrix::Ones(m, n);
-          s->matmul_range(g.a, g.b, &acc_s, 0, m, true);
-          x->matmul_range(g.a, g.b, &acc_x, 0, m, true);
-          g.c_scalar = acc_s;
-          g.c_simd = acc_x;
-          CompareOutputs(g, "MatMul+acc");
         }
       }
     }
@@ -121,9 +114,10 @@ TEST(SimdKernelsTest, MatMulScalarVsSimdAcrossShapeSweep) {
 }
 
 TEST(SimdKernelsTest, MatMulRaggedTailSweep1To31) {
-  // Every masked-tail width both backends can hit: n (column-tail masks),
-  // k (reduction-tail masks in TransB dots), and small m (row-block
-  // remainders) from 1 to 31 — covers all __mmask16 and avx2 tail values.
+  // Every masked-tail width both backends can hit: n (column-tail masks,
+  // unpacked and packed fused), k (reduction-tail masks in TransB dots),
+  // and small m (row-block remainders) from 1 to 31 — covers all
+  // __mmask16 and avx2 tail values.
   const auto backends = SimdBackends();
   if (backends.empty()) GTEST_SKIP() << "no SIMD backend on this host";
   const KernelTable* s = GetScalarKernels();
@@ -137,8 +131,8 @@ TEST(SimdKernelsTest, MatMulRaggedTailSweep1To31) {
       g.c_scalar = Matrix(9, n);
       g.c_simd = Matrix(9, n);
       FillMassAB(&g);
-      s->matmul_range(g.a, g.b, &g.c_scalar, 0, 9, false);
-      x->matmul_range(g.a, g.b, &g.c_simd, 0, 9, false);
+      s->matmul_range(g.a, g.b, &g.c_scalar, 0, 9);
+      x->matmul_range(g.a, g.b, &g.c_simd, 0, 9);
       CompareOutputs(g, x->name);
 
       bias.assign(n, 0.0f);
@@ -151,9 +145,12 @@ TEST(SimdKernelsTest, MatMulRaggedTailSweep1To31) {
           g.abs_mass(i, j) += std::fabs(bias[j]);
         }
       }
-      s->matmul_bias_act_range(g.a, g.b, &g.c_scalar, 0, 9, bias.data(),
-                               true);
-      x->matmul_bias_act_range(g.a, g.b, &g.c_simd, 0, 9, bias.data(), true);
+      PackedMatrix pb;
+      pb.PackFrom(g.b);
+      s->matmul_packed_bias_act_range(g.a, pb, &g.c_scalar, 0, 9,
+                                      bias.data(), true);
+      x->matmul_packed_bias_act_range(g.a, pb, &g.c_simd, 0, 9, bias.data(),
+                                      true);
       CompareOutputs(g, "fused tail");
     }
     for (size_t k = 1; k <= 31; ++k) {
@@ -172,8 +169,8 @@ TEST(SimdKernelsTest, MatMulRaggedTailSweep1To31) {
           g.abs_mass(i, j) = static_cast<float>(mass);
         }
       }
-      s->matmul_transb_range(g.a, g.b, &g.c_scalar, 0, 6, false);
-      x->matmul_transb_range(g.a, g.b, &g.c_simd, 0, 6, false);
+      s->matmul_transb_range(g.a, g.b, &g.c_scalar, 0, 6);
+      x->matmul_transb_range(g.a, g.b, &g.c_simd, 0, 6);
       CompareOutputs(g, "transb k-tail");
     }
     for (size_t m = 1; m <= 31; ++m) {
@@ -183,8 +180,8 @@ TEST(SimdKernelsTest, MatMulRaggedTailSweep1To31) {
       g.c_scalar = Matrix(m, 21);
       g.c_simd = Matrix(m, 21);
       FillMassAB(&g);
-      s->matmul_range(g.a, g.b, &g.c_scalar, 0, m, false);
-      x->matmul_range(g.a, g.b, &g.c_simd, 0, m, false);
+      s->matmul_range(g.a, g.b, &g.c_scalar, 0, m);
+      x->matmul_range(g.a, g.b, &g.c_simd, 0, m);
       CompareOutputs(g, "row-block tail");
     }
   }
@@ -215,8 +212,8 @@ TEST(SimdKernelsTest, MatMulTransBScalarVsSimdAcrossShapeSweep) {
               g.abs_mass(i, j) = static_cast<float>(mass);
             }
           }
-          s->matmul_transb_range(g.a, g.b, &g.c_scalar, 0, m, false);
-          x->matmul_transb_range(g.a, g.b, &g.c_simd, 0, m, false);
+          s->matmul_transb_range(g.a, g.b, &g.c_scalar, 0, m);
+          x->matmul_transb_range(g.a, g.b, &g.c_simd, 0, m);
           CompareOutputs(g, "MatMulTransB");
         }
       }
@@ -257,8 +254,8 @@ TEST(SimdKernelsTest, MatMulTransAScalarVsSimdAcrossShapeSweep) {
           // within each backend (the parallel wrapper relies on it).
           Matrix part(m, n);
           const size_t mid = m / 2;
-          x->matmul_transa_output_range(g.a, g.b, &part, 0, mid, false);
-          x->matmul_transa_output_range(g.a, g.b, &part, mid, m, false);
+          x->matmul_transa_output_range(g.a, g.b, &part, 0, mid);
+          x->matmul_transa_output_range(g.a, g.b, &part, mid, m);
           for (size_t i = 0; i < m; ++i) {
             for (size_t j = 0; j < n; ++j) {
               ASSERT_EQ(part(i, j), g.c_simd(i, j))
@@ -266,34 +263,6 @@ TEST(SimdKernelsTest, MatMulTransAScalarVsSimdAcrossShapeSweep) {
                   << j << ")";
             }
           }
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernelsTest, FusedEpilogueMatchesThreePassScalarBitExact) {
-  // The scalar fused kernel must be bit-equal to GEMM + bias + ReLU run as
-  // separate passes — that is what keeps pre-fusion oracles valid.
-  const KernelTable* s = GetScalarKernels();
-  Rng rng(104);
-  for (size_t m : {3, 17, 64}) {
-    for (size_t n : {1, 5, 48}) {
-      const Matrix a = Matrix::Gaussian(m, 32, &rng);
-      const Matrix b = Matrix::Gaussian(32, n, &rng);
-      std::vector<float> bias(n);
-      for (size_t j = 0; j < n; ++j) bias[j] = 0.1f * static_cast<float>(j);
-
-      Matrix fused(m, n);
-      s->matmul_bias_act_range(a, b, &fused, 0, m, bias.data(), true);
-
-      Matrix ref(m, n);
-      s->matmul_range(a, b, &ref, 0, m, false);
-      s->add_row_vector(&ref, bias.data());
-      s->relu_inplace(&ref);
-      for (size_t i = 0; i < m; ++i) {
-        for (size_t j = 0; j < n; ++j) {
-          ASSERT_EQ(fused(i, j), ref(i, j)) << "(" << i << "," << j << ")";
         }
       }
     }
@@ -326,13 +295,15 @@ TEST(SimdKernelsTest, FusedEpilogueScalarVsSimd) {
             g.abs_mass(i, j) = static_cast<float>(mass);
           }
         }
+        PackedMatrix pb;
+        pb.PackFrom(g.b);
         for (bool relu : {false, true}) {
           g.c_scalar = Matrix(m, n);
           g.c_simd = Matrix(m, n);
-          s->matmul_bias_act_range(g.a, g.b, &g.c_scalar, 0, m, bias.data(),
-                                   relu);
-          x->matmul_bias_act_range(g.a, g.b, &g.c_simd, 0, m, bias.data(),
-                                   relu);
+          s->matmul_packed_bias_act_range(g.a, pb, &g.c_scalar, 0, m,
+                                          bias.data(), relu);
+          x->matmul_packed_bias_act_range(g.a, pb, &g.c_simd, 0, m,
+                                          bias.data(), relu);
           CompareOutputs(g, relu ? "fused+relu" : "fused");
         }
       }
@@ -362,23 +333,11 @@ TEST(SimdKernelsTest, VectorKernelsScalarVsSimd) {
             << x->name << " axpy[" << i << "]";
       }
 
-      // add_row_vector + relu + column sums on an 17 x n matrix
-      Matrix ms = Matrix::Gaussian(17, n, &rng);
-      Matrix mx = ms;
-      std::vector<float> bias(n, -0.05f);
-      s->add_row_vector(&ms, bias.data());
-      x->add_row_vector(&mx, bias.data());
-      s->relu_inplace(&ms);
-      x->relu_inplace(&mx);
-      for (size_t i = 0; i < 17; ++i) {
-        for (size_t j = 0; j < n; ++j) {
-          ASSERT_EQ(ms(i, j), mx(i, j))
-              << x->name << " rowvec/relu (" << i << "," << j << ")";
-        }
-      }
+      // column sums over rows [2, 15) of a 17 x n matrix
+      const Matrix ms = Matrix::Gaussian(17, n, &rng);
       std::vector<float> cs(n), cx(n);
       s->column_sums_range(ms, cs.data(), 2, 15, false);
-      x->column_sums_range(mx, cx.data(), 2, 15, false);
+      x->column_sums_range(ms, cx.data(), 2, 15, false);
       for (size_t j = 0; j < n; ++j) {
         EXPECT_NEAR(cs[j], cx[j], 4.0 * eps * (std::fabs(cs[j]) + 13.0))
             << x->name << " colsum[" << j << "]";
@@ -460,8 +419,8 @@ TEST(SimdKernelsTest, PaddedOperandsBitEqualContiguousWithinBackend) {
       Matrix c(m, n);
       Matrix cp;
       cp.ResizePadded(m, n);
-      t->matmul_range(a, b, &c, 0, m, false);
-      t->matmul_range(ap, bp, &cp, 0, m, false);
+      t->matmul_range(a, b, &c, 0, m);
+      t->matmul_range(ap, bp, &cp, 0, m);
       for (size_t i = 0; i < m; ++i) {
         for (size_t j = 0; j < n; ++j) {
           ASSERT_EQ(c(i, j), cp(i, j))
