@@ -75,6 +75,7 @@ void SlimModel::PackWeights() {
   if (bf16_replica_) {
     for (size_t i = 0; i < 4; ++i) pw16_[i].PackFrom(*ws[i]);
   }
+  packed_gen_ = weight_gen_;
 }
 
 void SlimModel::SetReplicaPrecisionBf16(bool bf16) {
@@ -111,6 +112,9 @@ void SlimModel::Serialize(ByteWriter* w) const {
 }
 
 bool SlimModel::Deserialize(ByteReader* r) {
+  // A failed read may leave weights half-overwritten: the generation moves
+  // first, so the stale packs are never mistaken for current.
+  ++weight_gen_;
   adam_t_ = static_cast<size_t>(r->U64());
   train_calls_ = r->U64();
   Param* ps[kNumParams] = {&w1_, &b1_, &w2_, &b2_, &w3_, &b3_, &w4_, &b4_};
@@ -462,6 +466,7 @@ double SlimModel::TrainStep(const SlimBatchInput& input,
   AdamStep(&b4_);
   // Re-pack the read-path operands from the stepped weights (grow-only, so
   // allocation-free after the first step at a given shape).
+  ++weight_gen_;
   PackWeights();
   return loss / static_cast<double>(b);
 }

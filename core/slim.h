@@ -130,10 +130,16 @@ class SlimModel {
   bool replica_precision_bf16() const { return bf16_replica_; }
 
   /// Re-packs the read-path GEMM operands from the current weights
-  /// (pack-once / reuse-many). Runs automatically after construction,
-  /// every TrainStep, and a successful Deserialize; the serve layer also
-  /// calls it at snapshot publish so a replica's first read never packs.
+  /// (pack-once / reuse-many) and records the weight generation it packed.
+  /// Every weight mutation — construction, TrainStep, a successful
+  /// Deserialize — bumps the generation and packs at once, so the packs
+  /// are always current and a snapshot's first read never packs.
   void PackWeights();
+
+  /// True iff the packed operands were built from the current weight
+  /// generation — what SplashPredictor::PrepareForPublish checks before
+  /// deciding whether a publish needs to pack at all.
+  bool packs_current() const { return packed_gen_ == weight_gen_; }
 
   /// Resident bytes of the packed weight operands the const read path
   /// streams: the bf16 packs when the replica is bf16 (exactly half the
@@ -210,10 +216,13 @@ class SlimModel {
 
   // Read-path GEMM operands (tensor/packed.h), repacked by PackWeights on
   // every weight mutation so the const read path never packs. The bf16
-  // packs are maintained only while bf16_replica_ is set.
+  // packs are maintained only while bf16_replica_ is set. weight_gen_
+  // counts weight mutations; packed_gen_ is the generation the packs hold.
   PackedMatrix pw_[4];
   PackedMatrix16 pw16_[4];
   bool bf16_replica_ = false;
+  uint64_t weight_gen_ = 0;
+  uint64_t packed_gen_ = ~uint64_t{0};
 
   // Forward scratch for the fused (non-const) paths, kept across calls
   // (grow-only). The const PredictConst path uses caller scratch instead.

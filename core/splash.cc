@@ -111,7 +111,7 @@ void SplashPredictor::SetReplicaPrecisionBf16(bool bf16) {
 }
 
 void SplashPredictor::PrepareForPublish() {
-  if (slim_) slim_->PackWeights();
+  if (slim_ && !slim_->packs_current()) slim_->PackWeights();
 }
 
 size_t SplashPredictor::PackedWeightBytes() const {

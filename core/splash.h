@@ -115,9 +115,11 @@ class SplashPredictor : public TemporalPredictor {
   void SetReplicaPrecisionBf16(bool bf16);
   bool replica_precision_bf16() const { return bf16_replica_; }
 
-  /// Re-packs SLIM's read-path GEMM operands from the current weights.
-  /// The serving layer calls this when a snapshot is published so a read
-  /// replica's first query never packs (publish-time work, not read-time).
+  /// Makes SLIM's read-path GEMM operands current before a snapshot is
+  /// published, so a read replica's first query never packs. Packs only
+  /// if the weight generation moved since the last pack (core/slim.h):
+  /// every weight mutation already packs, so an ingest-only batch packs
+  /// zero times and a train batch packs once, inside TrainStep.
   void PrepareForPublish();
 
   /// Resident bytes of the packed weight operands the read path streams.

@@ -29,6 +29,15 @@ class EdgeStream {
   /// Pre-grows the arrays to hold `n` edges without reallocation.
   void Reserve(size_t n);
 
+  /// Forgets every edge but keeps the arrays' capacity and the declared
+  /// node space, so a reused per-batch stream stops allocating once it
+  /// has held its largest batch.
+  void Clear() {
+    src_.clear();
+    dst_.clear();
+    time_.clear();
+  }
+
   /// Declares that node ids in [0, n) may appear. Tracks the node-space
   /// size; consumers (neighbor memory, feature tables) size off num_nodes().
   void EnsureNodeCapacity(size_t n) {

@@ -1,11 +1,15 @@
 // Copyright 2026 The SPLASH Reproduction Authors.
 //
 // Atomic checkpoints of the serving state (DESIGN.md §7). A checkpoint is
-// the complete service state at a quiesced watermark W: the ingest log
-// prefix [0, W), the novel-id seen set, and the predictor state blob
-// (SplashPredictor::SerializeState — augmenter, rings, SLIM, RNG). The
-// apply thread takes one after the pipeline barrier, when both replicas
-// are bit-identical, by serializing the exclusively-owned back replica.
+// the complete service state at a quiesced watermark W: the header's
+// (seq = W, wm_time) pair, the novel-id seen set, and the predictor state
+// blob (SplashPredictor::SerializeState — augmenter, rings, SLIM, RNG).
+// None of it grows with the number of edges ingested. The edge-log
+// section holds the ingest history [0, W) only when the service runs with
+// record_apply_log (the replay oracles); otherwise it is empty, and
+// recovery takes its watermark from the header. The apply thread takes one
+// after the pipeline barrier, when both replicas are bit-identical, by
+// serializing the exclusively-owned back replica.
 //
 // Atomicity: write checkpoint-<W>.ckpt.tmp, fsync, rename() into place,
 // fsync the directory. A crash at any point leaves either the previous
@@ -17,7 +21,8 @@
 //
 // File format: magic[8]="SPLCKP1\n"  u64 payload_len  u32 crc32c(payload)
 // payload, where payload = u64 seq, u64 batches_applied, f64 wm_time, edge
-// log (count, num_nodes, src/dst/time arrays), node_seen, predictor blob.
+// log (count, num_nodes, src/dst/time arrays; count 0 unless recording),
+// node_seen, predictor blob.
 // `batches_applied` is the WAL batch-index cursor the checkpoint covers:
 // recovery replays exactly the records with batch_index >= it.
 
@@ -40,7 +45,7 @@ struct CheckpointData {
   uint64_t seq = 0;
   uint64_t batches_applied = 0;  // WAL batch-index cursor (replay from here)
   double wm_time = 0.0;
-  EdgeStream log;
+  EdgeStream log;  // empty unless written under record_apply_log
   std::vector<uint8_t> node_seen;
   std::vector<uint8_t> predictor_state;
 };

@@ -13,8 +13,7 @@
 //                               in caller order under a composite watermark
 //
 // Each shard is a full SplashService: its own apply thread, replica pair,
-// ingest log, WAL/checkpoint directory (data_dir/shard-<i>/), and
-// watermark. The router owns no lock on the query or ingest path — it is
+// WAL/checkpoint directory (data_dir/shard-<i>/), and watermark. The router owns no lock on the query or ingest path — it is
 // pure routing; shard-level machinery provides all synchronization.
 //
 // Composite watermark contract: a routed response carries one

@@ -111,9 +111,11 @@ Status SplashService::PrepareReplicas(const Dataset& warmup,
 }
 
 void SplashService::InitLogFromWarmup(const Dataset& warmup) {
-  // Serving starts from an empty ingest log: watermark 0 == "weights only,
-  // no streamed edge". Nodes touched by the warmup stream are "known";
-  // everything else counts toward the novel-id drift signal.
+  // Serving starts at watermark 0 == "weights only, no streamed edge".
+  // Nodes touched by the warmup stream are "known"; everything else counts
+  // toward the novel-id drift signal.
+  seq_ = 0;
+  max_time_ = 0.0;
   log_ = EdgeStream();
   log_.EnsureNodeCapacity(warmup.stream.num_nodes());
   node_seen_.assign(warmup.stream.num_nodes(), 0);
@@ -196,7 +198,11 @@ Status SplashService::RecoverOrStart(const Dataset& warmup,
       st = replicas_[r]->DeserializeState(&rd);
       if (!st.ok()) return st;
     }
-    log_ = std::move(ckpt.log);
+    // The watermark comes from the checkpoint header; the log section is
+    // empty unless the writer ran with record_apply_log.
+    seq_ = ckpt.seq;
+    max_time_ = ckpt.wm_time;
+    log_ = opts_.record_apply_log ? std::move(ckpt.log) : EdgeStream();
     node_seen_ = std::move(ckpt.node_seen);
     wal_batch_index_ = ckpt.batches_applied;
     recovered_from_checkpoint_ = true;
@@ -206,8 +212,8 @@ Status SplashService::RecoverOrStart(const Dataset& warmup,
     InitLogFromWarmup(warmup);
     wal_batch_index_ = 0;
   }
-  wm_seq_[0] = wm_seq_[1] = log_.size();
-  wm_time_[0] = wm_time_[1] = log_.empty() ? 0.0 : log_.max_time();
+  wm_seq_[0] = wm_seq_[1] = seq_;
+  wm_time_[0] = wm_time_[1] = max_time_;
   batch_bounds_.clear();
   train_log_.clear();
 
@@ -219,7 +225,7 @@ Status SplashService::RecoverOrStart(const Dataset& warmup,
   std::vector<WalRecord> tail;
   bool gap = false;
   uint64_t next_batch = wal_batch_index_;
-  uint64_t next_seq = log_.size();
+  uint64_t next_seq = seq_;
   for (const WalSegmentInfo& seg : ListWalSegments(opts_.data_dir)) {
     WalScan scan;
     st = ScanWalFile(seg.path, &scan);
@@ -252,26 +258,25 @@ Status SplashService::RecoverOrStart(const Dataset& warmup,
   // composition feeds SLIM's update order, so re-batching would change
   // bits. Publication follows the same gate protocol as live apply.
   for (const WalRecord& rec : tail) {
-    const size_t edge_begin = log_.size();
-    for (const TemporalEdge& e : rec.edges) AppendEdgeToLog(e);
-    const size_t edge_end = log_.size();
+    batch_edges_.Clear();
+    for (const TemporalEdge& e : rec.edges) AppendEdgeToBatch(e);
     const uint32_t back = gate_.back();
-    ApplyBatchTo(replicas_[back].get(), edge_begin, edge_end, rec.train);
-    wm_seq_[back] = edge_end;
-    wm_time_[back] = edge_end > 0 ? log_.max_time() : 0.0;
+    ApplyBatchTo(replicas_[back].get(), rec.train);
+    wm_seq_[back] = seq_;
+    wm_time_[back] = max_time_;
     gate_.Publish();
     const uint32_t other = gate_.back();
     gate_.WaitReadersDrained(other);
-    ApplyBatchTo(replicas_[other].get(), edge_begin, edge_end, rec.train);
-    wm_seq_[other] = edge_end;
-    wm_time_[other] = wm_time_[1 - other];
+    ApplyBatchTo(replicas_[other].get(), rec.train);
+    wm_seq_[other] = seq_;
+    wm_time_[other] = max_time_;
     ++wal_batch_index_;
     if (opts_.record_apply_log) {
-      batch_bounds_.push_back(edge_end);
-      if (!rec.train.empty()) train_log_.emplace_back(edge_end, rec.train);
+      batch_bounds_.push_back(seq_);
+      if (!rec.train.empty()) train_log_.emplace_back(seq_, rec.train);
     }
   }
-  recovered_seq_ = log_.size();
+  recovered_seq_ = seq_;
   recovery_replayed_.store(tail.size(), std::memory_order_relaxed);
 
   // Checkpoint-on-recovery: makes the replayed tail durable again before
@@ -355,12 +360,12 @@ IngestResult SplashService::SubmitTrain(const PropertyQuery& q) {
                           : IngestResult::kBacklogDropped;
 }
 
-TemporalEdge SplashService::AppendEdgeToLog(TemporalEdge e) {
-  if (!log_.empty() && e.time < log_.max_time()) {
-    // The log is a *stream*: monotonize stragglers instead of rejecting
+TemporalEdge SplashService::AppendEdgeToBatch(TemporalEdge e) {
+  if (seq_ > 0 && e.time < max_time_) {
+    // Ingest is a *stream*: monotonize stragglers instead of rejecting
     // them, and surface the count as a drift signal.
     time_regressions_.fetch_add(1, std::memory_order_relaxed);
-    e.time = log_.max_time();
+    e.time = max_time_;
   }
   const size_t prev_nodes = node_seen_.size();
   const size_t hi = static_cast<size_t>(std::max(e.src, e.dst)) + 1;
@@ -373,7 +378,11 @@ TemporalEdge SplashService::AppendEdgeToLog(TemporalEdge e) {
   if (novel > 0) {
     novel_ingest_nodes_.fetch_add(novel, std::memory_order_relaxed);
   }
-  log_.Append(e).ok();  // cannot fail: endpoints valid, time monotone
+  // Neither append can fail: endpoints were validated, time is monotone.
+  batch_edges_.Append(e).ok();
+  if (opts_.record_apply_log) log_.Append(e).ok();
+  ++seq_;
+  max_time_ = e.time;
   return e;
 }
 
@@ -392,12 +401,13 @@ void SplashService::MirrorWalFsyncs() {
 }
 
 void SplashService::WriteServiceCheckpoint() {
-  const uint64_t seq = log_.size();
-  const double wm_time = log_.empty() ? 0.0 : log_.max_time();
   ckpt_state_scratch_.Clear();
   replicas_[gate_.back()]->SerializeState(&ckpt_state_scratch_);
-  Status st = WriteCheckpoint(opts_.data_dir, seq, wal_batch_index_, wm_time,
-                              log_, node_seen_, ckpt_state_scratch_.buffer());
+  // log_ is empty unless record_apply_log: the checkpoint's size does not
+  // grow with lifetime traffic.
+  Status st = WriteCheckpoint(opts_.data_dir, seq_, wal_batch_index_,
+                              max_time_, log_, node_seen_,
+                              ckpt_state_scratch_.buffer());
   if (!st.ok()) {
     // A failed checkpoint is a durability I/O error like any other: keep
     // serving, keep the WAL (if open) appending, flag degraded.
@@ -415,7 +425,7 @@ void SplashService::WriteServiceCheckpoint() {
   wal_.Close();
   MirrorWalFsyncs();
   Status wst = wal_.Open(WalSegmentPath(opts_.data_dir, wal_batch_index_),
-                         seq, opts_.wal_fsync, opts_.wal_group_records);
+                         seq_, opts_.wal_fsync, opts_.wal_group_records);
   wal_fsyncs_base_ = 0;
   if (!wst.ok()) {
     NoteWalError();
@@ -432,10 +442,15 @@ void SplashService::SerializePredictorState(ByteWriter* w) const {
   replicas_[gate_.back()]->SerializeState(w);
 }
 
-void SplashService::ApplyBatchTo(SplashPredictor* rep, size_t edge_begin,
-                                 size_t edge_end,
+void SplashService::ApplyBatchTo(SplashPredictor* rep,
                                  const std::vector<PropertyQuery>& train) {
-  if (edge_end > edge_begin) rep->ObserveBulk(log_, edge_begin, edge_end);
+  // NeighborMemory ignores edge indices and the augmenter sizes its tables
+  // from the edges themselves, so observing the batch as [0, n) of the
+  // scratch stream leaves the replica exactly as observing [W, W + n) of
+  // the full history would.
+  if (!batch_edges_.empty()) {
+    rep->ObserveBulk(batch_edges_, 0, batch_edges_.size());
+  }
   if (!train.empty()) {
     // The staged split-phase path (core/predictor.h): assemble from the
     // just-advanced state, then pure compute on the staged tensors.
@@ -446,9 +461,9 @@ void SplashService::ApplyBatchTo(SplashPredictor* rep, size_t edge_begin,
   }
   // Publish-time packing invariant: by the time this replica is pinned by
   // a reader its packed GEMM operands (fp32 and, when enabled, bf16) are
-  // current — a snapshot's first query never packs (PredictBatchConst
-  // cannot pack by construction; this keeps the invariant explicit even
-  // for weight mutations outside TrainStep).
+  // current — a snapshot's first query never packs. TrainStep already
+  // packed any new weights, so this packs only if the weight generation
+  // moved without a pack (never, on the paths above).
   rep->PrepareForPublish();
 }
 
@@ -459,12 +474,11 @@ void SplashService::ApplyLoop() {
   struct CatchUp {
     SplashService* svc = nullptr;
     SplashPredictor* rep = nullptr;
-    size_t begin = 0, end = 0;
     uint32_t idx = 0;
     static void Invoke(void* p) {
       auto* c = static_cast<CatchUp*>(p);
       c->svc->gate_.WaitReadersDrained(c->idx);
-      c->svc->ApplyBatchTo(c->rep, c->begin, c->end, c->svc->catchup_train_);
+      c->svc->ApplyBatchTo(c->rep, c->svc->catchup_train_);
     }
   };
   CatchUp ctx;
@@ -477,16 +491,17 @@ void SplashService::ApplyLoop() {
     WallTimer apply_timer;
 
     // Barrier: the previous catch-up retired, so the back replica is
-    // current and catchup_train_ / log_ are exclusively ours again.
+    // current and catchup_train_ / batch_edges_ are exclusively ours again.
     pipe_.Wait();
 
-    // Quiesced point: both replicas identical at watermark log_.size().
+    // Quiesced point: both replicas identical at watermark seq_.
     if (durable_ && opts_.checkpoint_interval_batches > 0 &&
         batches_since_checkpoint_ >= opts_.checkpoint_interval_batches) {
       WriteServiceCheckpoint();
     }
 
-    const size_t edge_begin = log_.size();
+    const uint64_t edge_begin = seq_;
+    batch_edges_.Clear();
     train_scratch_.clear();
     wal_rec_.Clear();
     for (const IngestItem& item : batch_scratch_) {
@@ -495,10 +510,10 @@ void SplashService::ApplyLoop() {
         continue;
       }
       // Endpoints/time were validated at ingest; record the post-clamp
-      // edge so WAL replay reproduces the log byte-for-byte.
-      wal_rec_.edges.push_back(AppendEdgeToLog(item.edge));
+      // edge so WAL replay reproduces the batch byte-for-byte.
+      wal_rec_.edges.push_back(AppendEdgeToBatch(item.edge));
     }
-    const size_t edge_end = log_.size();
+    const uint64_t edge_end = seq_;
 
     // Write-ahead: the batch is durable (per the fsync policy) before any
     // replica state or watermark reflects it. An append failure flips the
@@ -507,7 +522,7 @@ void SplashService::ApplyLoop() {
       wal_rec_.batch_index = wal_batch_index_;
       wal_rec_.seq_begin = edge_begin;
       wal_rec_.seq_end = edge_end;
-      wal_rec_.wm_time = log_.empty() ? 0.0 : log_.max_time();
+      wal_rec_.wm_time = max_time_;
       wal_rec_.train = train_scratch_;
       const Status wst = wal_.Append(wal_rec_);
       if (wst.ok()) {
@@ -521,9 +536,9 @@ void SplashService::ApplyLoop() {
     ++batches_since_checkpoint_;
 
     const uint32_t back = gate_.back();
-    ApplyBatchTo(replicas_[back].get(), edge_begin, edge_end, train_scratch_);
+    ApplyBatchTo(replicas_[back].get(), train_scratch_);
     wm_seq_[back] = edge_end;
-    wm_time_[back] = edge_end > 0 ? log_.max_time() : 0.0;
+    wm_time_[back] = max_time_;
     gate_.Publish();
 
     batches_applied_.fetch_add(1, std::memory_order_relaxed);
@@ -542,8 +557,6 @@ void SplashService::ApplyLoop() {
     catchup_train_ = train_scratch_;
     ctx.svc = this;
     ctx.rep = replicas_[1 - back].get();
-    ctx.begin = edge_begin;
-    ctx.end = edge_end;
     ctx.idx = 1 - back;
     pipe_.Submit(&CatchUp::Invoke, &ctx);
 

@@ -29,10 +29,16 @@
 //
 // Consistency contract (serve_service_test pins it): at SPLASH_THREADS=1 a
 // response at watermark W is bit-identical to a serial replay of the
-// ingest log truncated at W; at any thread count it is bit-identical to
-// re-applying the recorded micro-batch sequence, and queries can never
+// ingested edges truncated at W; at any thread count it is bit-identical
+// to re-applying the recorded micro-batch sequence, and queries can never
 // observe a torn state (the gate drains readers before a buffer is
 // rewritten).
+//
+// Bounded state. The apply thread keeps only the current micro-batch's
+// edges (a reused EdgeStream scratch both replicas ObserveBulk from) plus
+// a scalar (seq, max time) watermark, so resident memory and checkpoint
+// size stay O(1) per ingested edge. The full ingest history is kept only
+// under record_apply_log, for the replay oracles.
 //
 // Drift counters. The service boundary exposes live shift signals:
 // fraction of queried nodes unseen at training time, novel node ids in the
@@ -85,8 +91,11 @@ struct SplashServiceOptions {
   /// Apply SubmitTrain feedback as staged train steps at micro-batch
   /// boundaries (online continual learning). Off = feedback is dropped.
   bool train_on_ingest_labels = true;
-  /// Test hook: record every applied micro-batch boundary and train batch
-  /// so a test can re-apply the exact sequence (the >1-thread oracle).
+  /// Test hook: keep the full ingest history (ingest_log(), and with it
+  /// the checkpoint's log section) and record every applied micro-batch
+  /// boundary and train batch, so a test can re-apply the exact sequence
+  /// (the >1-thread oracle). Off, the service holds only the current
+  /// micro-batch's edges.
   bool record_apply_log = false;
 
   // ---- Read-path query coalescing (DESIGN.md §5b). Mirrors the ingest
@@ -148,8 +157,8 @@ class SplashService final : public QueryBackend {
   /// Prepares both replicas on `warmup` (feature fitting + selection and,
   /// when `fit` is non-null, a full StreamTrainer::Fit — deterministic, so
   /// the replicas end bit-identical), resets streaming state, and starts
-  /// the apply thread. The ingest log starts empty: watermark 0 means "no
-  /// edge beyond the fitted weights".
+  /// the apply thread. Serving starts at watermark 0, meaning "no edge
+  /// beyond the fitted weights".
   Status Start(const Dataset& warmup, const ChronoSplit& split,
                const TrainerOptions* fit = nullptr);
 
@@ -178,8 +187,8 @@ class SplashService final : public QueryBackend {
   /// Enqueues one edge. kInvalid on boundary rejection (invalid endpoint /
   /// non-finite timestamp — counted as ingest_dropped), kBacklogDropped on
   /// a kDropNewest backlog drop, kStopped when not running. Out-of-order
-  /// timestamps are clamped to the log's max at apply time (counted as
-  /// time_regressions).
+  /// timestamps are clamped to the max applied timestamp at apply time
+  /// (counted as time_regressions).
   IngestResult IngestEdge(const TemporalEdge& e) override;
 
   /// Enqueues one labeled training query, applied as part of a staged
@@ -228,6 +237,10 @@ class SplashService final : public QueryBackend {
 
   /// Test hooks — stable only while quiescent (after Flush() with no
   /// concurrent producers, or after Stop()).
+  /// The post-clamp ingest history [0, published_seq()) under
+  /// record_apply_log — restored from the checkpoint on recovery, so it is
+  /// complete only if every earlier run of the data_dir recorded too.
+  /// Empty otherwise: published_seq() is the edge count.
   const EdgeStream& ingest_log() const { return log_; }
   /// Cumulative edge count at each applied micro-batch boundary
   /// (record_apply_log only).
@@ -258,16 +271,19 @@ class SplashService final : public QueryBackend {
                                          size_t n);
 
   void ApplyLoop();
-  void ApplyBatchTo(SplashPredictor* rep, size_t edge_begin, size_t edge_end,
+  /// Applies the current micro-batch (batch_edges_ + `train`) to `rep`.
+  void ApplyBatchTo(SplashPredictor* rep,
                     const std::vector<PropertyQuery>& train);
   /// Shared Start/RecoverOrStart pieces: deterministic replica prep (+fit)
-  /// and warmup-derived log/seen-set initialization.
+  /// and warmup-derived watermark/seen-set initialization.
   Status PrepareReplicas(const Dataset& warmup, const ChronoSplit& split,
                          const TrainerOptions* fit);
   void InitLogFromWarmup(const Dataset& warmup);
-  /// Clamp + novel-id accounting + log append for one validated edge.
-  /// Returns the post-clamp edge (what the WAL records).
-  TemporalEdge AppendEdgeToLog(TemporalEdge e);
+  /// Clamp + novel-id accounting for one validated edge, then appends it
+  /// to the current micro-batch (and to log_ under record_apply_log) and
+  /// advances seq_ / max_time_. Returns the post-clamp edge (what the WAL
+  /// records).
+  TemporalEdge AppendEdgeToBatch(TemporalEdge e);
   /// Quiesced-state checkpoint + WAL rotation (apply thread / recovery
   /// path only; both replicas must be identical at the published W).
   void WriteServiceCheckpoint();
@@ -289,7 +305,15 @@ class SplashService final : public QueryBackend {
   // Leader-only scratch for coalesced groups (one leader at a time).
   std::vector<PropertyQuery> gather_queries_;
   SplashQueryScratch gather_scratch_;
-  EdgeStream log_;  // apply-thread-owned append; snapshot reads via bounds
+  // Apply-thread-owned ingest state. batch_edges_ holds the current
+  // micro-batch only; the catch-up job reads it, so it is cleared only
+  // after pipe_.Wait(). seq_ / max_time_ are the applied-edge count and
+  // the last (post-clamp) timestamp. log_ is the full history, kept only
+  // under record_apply_log.
+  EdgeStream batch_edges_;
+  uint64_t seq_ = 0;
+  double max_time_ = 0.0;
+  EdgeStream log_;
   std::thread apply_thread_;
   PipelineThread pipe_;  // runs the catch-up re-apply of the old front
   std::atomic<bool> running_{false};

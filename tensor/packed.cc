@@ -3,7 +3,7 @@
 // Backend-independent pack routines for the cache-aware GEMM tier
 // (tensor/packed.h): plain sequential-write re-tiling, no intrinsics —
 // only the GEMM kernels themselves are backend code. Packing cost is
-// O(k * n) copies, paid once per publish/Adam-step against many reuses.
+// O(k * n) copies, paid once per weight change against many reuses.
 
 #include "tensor/packed.h"
 

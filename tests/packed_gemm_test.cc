@@ -13,6 +13,8 @@
 //      end-to-end SLIM read path holds AUC parity on a drifting synthetic
 //      task with |dAUC| <= 1e-3.
 //   4. The bf16 replica halves resident weight-operand bytes, exactly.
+//   5. Packs track every weight mutation (TrainStep, Deserialize, enabling
+//      the bf16 replica) with no separate publish-time pack.
 
 #include "tensor/packed.h"
 
@@ -22,6 +24,7 @@
 #include <cstring>
 #include <vector>
 
+#include "core/serialize.h"
 #include "core/slim.h"
 #include "eval/metrics.h"
 #include "tensor/matrix.h"
@@ -336,6 +339,91 @@ TEST(PackedGemmTest, Bf16ReplicaAucParityOnSyntheticDrift) {
   // vacuous.
   ASSERT_GT(auc32, 0.8) << "synthetic task not learned; test is vacuous";
   EXPECT_NEAR(auc32, auc16, 1e-3);
+}
+
+void ExpectBitEqual(const Matrix& a, const Matrix& b, const char* what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a.data()[i], b.data()[i]) << what << " element " << i;
+  }
+}
+
+/// Eval-mode Forward and the const read path share the fp32 packs, so they
+/// must agree bit for bit whenever the packs hold the current weights.
+void ExpectConstMatchesForward(SlimModel* m, const SlimBatchInput& probe,
+                               const char* what) {
+  m->SetTraining(false);
+  EXPECT_TRUE(m->packs_current()) << what;
+  const Matrix fwd = m->Forward(probe);
+  SlimForwardScratch scratch;
+  ExpectBitEqual(fwd, m->PredictConst(probe, &scratch), what);
+}
+
+/// A fresh model restored from `src`'s serialized state packs from exactly
+/// `src`'s weights: the reference for "src's packs are not stale".
+Matrix FreshCopyScores(const SlimModel& src, const SlimOptions& opts,
+                       const SlimBatchInput& probe) {
+  ByteWriter w;
+  src.Serialize(&w);
+  Rng rng(999);
+  SlimModel copy(opts, &rng);
+  ByteReader r(w.buffer());
+  EXPECT_TRUE(copy.Deserialize(&r));
+  copy.SetReplicaPrecisionBf16(src.replica_precision_bf16());
+  SlimForwardScratch scratch;
+  return copy.PredictConst(probe, &scratch);
+}
+
+TEST(PackedGemmTest, PacksFollowEveryWeightMutationWithoutPublish) {
+  SlimOptions opts;
+  opts.feature_dim = 24;
+  opts.hidden_dim = 48;
+  opts.k_recent = 5;
+  opts.dropout = 0.0f;
+  Rng rng_a(45), rng_b(46), data_rng(73);
+  const SlimBatchInput probe = MakeBatch(32, 5, 24, 0.5, &data_rng);
+  SlimForwardScratch scratch;
+
+  // After TrainStep: the step itself repacked.
+  SlimModel a(opts, &rng_a);
+  a.SetTraining(true);
+  for (int step = 0; step < 3; ++step) {
+    const SlimBatchInput batch = MakeBatch(64, 5, 24, 0.5, &data_rng);
+    a.TrainStep(batch, MakeLabels(batch));
+  }
+  ExpectConstMatchesForward(&a, probe, "after TrainStep");
+  ExpectBitEqual(FreshCopyScores(a, opts, probe),
+                 a.PredictConst(probe, &scratch), "TrainStep vs fresh copy");
+
+  // After Deserialize: b starts from different weights and must read the
+  // loaded ones, not its constructor's packs.
+  SlimModel b(opts, &rng_b);
+  {
+    ByteWriter w;
+    a.Serialize(&w);
+    ByteReader r(w.buffer());
+    ASSERT_TRUE(b.Deserialize(&r));
+  }
+  ExpectConstMatchesForward(&b, probe, "after Deserialize");
+  ExpectBitEqual(a.PredictConst(probe, &scratch),
+                 b.PredictConst(probe, &scratch), "Deserialize vs source");
+
+  // After SetReplicaPrecisionBf16, and after a step with the bf16 replica
+  // on: the bf16 packs follow the weights too. Forward stays fp32, so the
+  // fp32 check still holds and the bf16 read is checked against a fresh
+  // bf16 copy.
+  a.SetReplicaPrecisionBf16(true);
+  ExpectConstMatchesForward(&b, probe, "fp32 peer unaffected");
+  ExpectBitEqual(FreshCopyScores(a, opts, probe),
+                 a.PredictConst(probe, &scratch), "bf16 enable vs fresh copy");
+  a.SetTraining(true);
+  const SlimBatchInput batch = MakeBatch(64, 5, 24, 0.5, &data_rng);
+  a.TrainStep(batch, MakeLabels(batch));
+  a.SetTraining(false);
+  EXPECT_TRUE(a.packs_current());
+  ExpectBitEqual(FreshCopyScores(a, opts, probe),
+                 a.PredictConst(probe, &scratch), "bf16 step vs fresh copy");
 }
 
 TEST(PackedGemmTest, Bf16ReplicaHalvesResidentWeightBytes) {

@@ -10,7 +10,10 @@
 // compared byte-for-byte via SerializeState. The reference is built by
 // replaying the WAL history (gc_wal_on_checkpoint=false keeps it complete)
 // through a fresh predictor with the recorded micro-batch boundaries — the
-// same contract serve_service_test pins for the live snapshot path.
+// same contract serve_service_test pins for the live snapshot path. The
+// oracle services run with record_apply_log so the recovered ingest log can
+// be compared edge for edge; the production-mode cases run without it and
+// check that state and checkpoints stay O(1) per ingested edge.
 //
 // Crash points are exercised for real: each parameterized case forks a
 // child, arms ONE compiled-in crash point (serve/fault_injection.h), and
@@ -28,6 +31,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -127,7 +131,23 @@ SplashServiceOptions DurableOptions(const std::string& data_dir) {
   opts.checkpoint_interval_batches = 4;
   opts.checkpoint_on_stop = true;
   opts.gc_wal_on_checkpoint = false;  // keep full history for the oracle
+  opts.record_apply_log = true;       // compare the log edge for edge
   return opts;
+}
+
+/// DurableOptions as a production service runs: no full-history log, so
+/// checkpoints carry an empty log section.
+SplashServiceOptions ProductionOptions(const std::string& data_dir) {
+  SplashServiceOptions opts = DurableOptions(data_dir);
+  opts.record_apply_log = false;
+  return opts;
+}
+
+/// The replica precision the service resolves from the environment
+/// (SPLASH_REPLICA_PRECISION), so the reference reads through the same
+/// packs the service's query path does.
+bool EnvReplicaBf16() {
+  return DurableOptions("").ResolvedReplicaPrecision() == "bf16";
 }
 
 std::vector<TemporalEdge> LiveEdges(const Dataset& ds,
@@ -184,6 +204,7 @@ std::unique_ptr<SplashPredictor> MakeReference(
     const Dataset& ds, const ChronoSplit& split, const SplashOptions& model,
     const std::vector<WalRecord>& records, EdgeStream* ref_log) {
   auto ref = std::make_unique<SplashPredictor>(model);
+  ref->SetReplicaPrecisionBf16(EnvReplicaBf16());
   EXPECT_TRUE(ref->Prepare(ds, split).ok());
   TrainerOptions fit = SmallFit();
   StreamTrainer trainer(fit);
@@ -228,6 +249,20 @@ void ExpectBitEqual(const Matrix& a, const Matrix& b, const char* what) {
   }
 }
 
+/// Watermark oracle, post-recovery: a query answered at the recovered
+/// watermark is bit-identical to the reference's const path.
+void ExpectProbeBitEqual(SplashService* svc, const SplashPredictor& ref,
+                         const Dataset& ds, const char* what) {
+  ServeClient client(svc);
+  const std::vector<PropertyQuery> probe(ds.queries.end() - 32,
+                                         ds.queries.end());
+  const ServeResponse resp = client.Predict(probe);
+  EXPECT_EQ(resp.watermark_seq, svc->recovered_seq()) << what;
+  EXPECT_FALSE(resp.degraded) << what;
+  SplashQueryScratch scratch;
+  ExpectBitEqual(ref.PredictBatchConst(probe, &scratch), resp.scores, what);
+}
+
 /// Recover in-process and run the full oracle against `data_dir`'s WAL
 /// history: recovered predictor state bit-equals an uninterrupted replay,
 /// the recovered ingest log matches edge for edge, and a probe query at
@@ -266,19 +301,7 @@ void RecoverAndVerify(const std::string& data_dir, const SplashOptions& model,
   // counts, RNG stream — everything SerializeState covers.
   ExpectStateBytesEqual(svc, *ref, "recovered state vs uninterrupted run");
 
-  // PR-4 watermark oracle, post-recovery: a query answered at the
-  // recovered watermark is bit-identical to the reference's const path.
-  {
-    ServeClient client(&svc);
-    const std::vector<PropertyQuery> probe(ds.queries.end() - 32,
-                                           ds.queries.end());
-    const ServeResponse resp = client.Predict(probe);
-    EXPECT_EQ(resp.watermark_seq, svc.recovered_seq());
-    EXPECT_FALSE(resp.degraded);
-    SplashQueryScratch scratch;
-    const Matrix& want = ref->PredictBatchConst(probe, &scratch);
-    ExpectBitEqual(want, resp.scores, "post-recovery probe");
-  }
+  ExpectProbeBitEqual(&svc, *ref, ds, "post-recovery probe");
   svc.Stop();
 }
 
@@ -403,6 +426,131 @@ TEST_F(ServeRecoveryTest, WalHistoryGapRecoversDegraded) {
   const ServeStats stats = svc.Stats();
   EXPECT_TRUE(stats.counters.degraded);
   svc.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Production mode (record_apply_log off): the watermark comes from the
+// checkpoint header, and nothing grows with the number of ingested edges.
+// ---------------------------------------------------------------------------
+
+TEST_F(ServeRecoveryTest, ProductionModeRecoversFromCheckpointHeader) {
+  TempDir dir;
+  const SplashOptions model = RecoveryModelOptions(/*dropout=*/0.15f);
+  const Dataset ds = MakeWarmup();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  const std::vector<TemporalEdge> live = LiveEdges(ds, split);
+  ASSERT_GT(live.size(), 300u);
+
+  // Mid-stream checkpoints every 4 batches and none at stop: a checkpoint
+  // is written lazily when the batch after the 4th starts, so at least
+  // one batch always remains only in the WAL tail.
+  SplashServiceOptions opts = ProductionOptions(dir.path());
+  opts.checkpoint_on_stop = false;
+  {
+    SplashService svc(model, opts);
+    TrainerOptions fit = SmallFit();
+    ASSERT_TRUE(svc.RecoverOrStart(ds, split, &fit).ok());
+    FeedLive(&svc, live, 0, 300);
+    svc.Stop();
+    EXPECT_GT(svc.Stats().counters.checkpoints_written, 1u);
+    EXPECT_EQ(svc.ingest_log().size(), 0u);
+  }
+
+  const std::vector<WalRecord> history = CollectFullHistory(dir.path());
+  EdgeStream ref_log;
+  auto ref = MakeReference(ds, split, model, history, &ref_log);
+  ASSERT_EQ(ref_log.size(), 300u);
+
+  // Checkpoint + WAL tail.
+  {
+    SplashService svc(model, opts);
+    TrainerOptions fit = SmallFit();
+    ASSERT_TRUE(svc.RecoverOrStart(ds, split, &fit).ok());
+    EXPECT_TRUE(svc.recovered_from_checkpoint());
+    EXPECT_GT(svc.Stats().counters.recovery_replayed_batches, 0u);
+    EXPECT_FALSE(svc.degraded());
+    EXPECT_EQ(svc.recovered_seq(), 300u);
+    uint64_t seq = 0;
+    double time = 0.0;
+    svc.PublishedWatermark(&seq, &time);
+    EXPECT_EQ(seq, 300u);
+    EXPECT_EQ(time, ref_log.max_time());
+    EXPECT_EQ(svc.ingest_log().size(), 0u);
+    ExpectStateBytesEqual(svc, *ref, "checkpoint + WAL tail");
+    ExpectProbeBitEqual(&svc, *ref, ds, "checkpoint + WAL tail probe");
+    svc.Stop();  // nothing new applied: the recovery checkpoint is the last
+  }
+
+  // The recovery checkpoint alone: an empty tail, so seq and wm_time come
+  // from the checkpoint header only.
+  CheckpointData ckpt;
+  bool found = false;
+  ASSERT_TRUE(LoadLatestCheckpoint(dir.path(), &ckpt, &found).ok());
+  ASSERT_TRUE(found);
+  EXPECT_EQ(ckpt.seq, 300u);
+  EXPECT_EQ(ckpt.wm_time, ref_log.max_time());
+  EXPECT_EQ(ckpt.log.size(), 0u);
+  {
+    SplashService svc(model, opts);
+    TrainerOptions fit = SmallFit();
+    ASSERT_TRUE(svc.RecoverOrStart(ds, split, &fit).ok());
+    EXPECT_TRUE(svc.recovered_from_checkpoint());
+    EXPECT_EQ(svc.Stats().counters.recovery_replayed_batches, 0u);
+    EXPECT_EQ(svc.recovered_seq(), ckpt.seq);
+    ExpectStateBytesEqual(svc, *ref, "checkpoint header only");
+    ExpectProbeBitEqual(&svc, *ref, ds, "checkpoint header only probe");
+
+    // An edge older than the checkpoint's watermark is clamped to it.
+    const TemporalEdge late = live[0];
+    ASSERT_LT(late.time, ckpt.wm_time);
+    ASSERT_EQ(svc.IngestEdge(late), IngestResult::kAccepted);
+    svc.Flush();
+    uint64_t seq = 0;
+    double time = 0.0;
+    svc.PublishedWatermark(&seq, &time);
+    EXPECT_EQ(seq, ckpt.seq + 1);
+    EXPECT_EQ(time, ckpt.wm_time);
+    EXPECT_EQ(svc.Stats().counters.time_regressions, 1u);
+    svc.Stop();
+  }
+}
+
+TEST_F(ServeRecoveryTest, ProductionModeStateStaysConstantPerEdge) {
+  // N and then 2N edges over the warmup's fixed node set: the in-RAM log
+  // never holds more than one micro-batch and the checkpoint does not
+  // grow with the edge count.
+  const SplashOptions model = RecoveryModelOptions();
+  const Dataset ds = MakeWarmup();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  const std::vector<TemporalEdge> live = LiveEdges(ds, split);
+  const size_t n = 200;
+  ASSERT_GE(live.size(), 2 * n);
+  for (const TemporalEdge& e : live) {
+    ASSERT_LT(std::max(e.src, e.dst), ds.stream.num_nodes());
+  }
+
+  auto checkpoint_bytes = [&](const std::string& data_dir, size_t edges) {
+    SplashServiceOptions opts = ProductionOptions(data_dir);
+    opts.checkpoint_interval_batches = 0;  // only the one at Stop
+    SplashService svc(model, opts);
+    TrainerOptions fit = SmallFit();
+    EXPECT_TRUE(svc.RecoverOrStart(ds, split, &fit).ok());
+    for (size_t begin = 0; begin < edges; begin += 50) {
+      FeedLive(&svc, live, begin, std::min(edges, begin + 50));
+      svc.Flush();
+      EXPECT_LE(svc.ingest_log().size(), opts.microbatch_max_items);
+    }
+    svc.Stop();
+    EXPECT_EQ(svc.published_seq(), edges);
+    struct stat sb {};
+    EXPECT_EQ(::stat(CheckpointPath(data_dir, edges).c_str(), &sb), 0);
+    return static_cast<uint64_t>(sb.st_size);
+  };
+  TempDir dir_n, dir_2n;
+  const uint64_t bytes_n = checkpoint_bytes(dir_n.path(), n);
+  const uint64_t bytes_2n = checkpoint_bytes(dir_2n.path(), 2 * n);
+  EXPECT_GT(bytes_n, 0u);
+  EXPECT_EQ(bytes_n, bytes_2n);
 }
 
 // ---------------------------------------------------------------------------

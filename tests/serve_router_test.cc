@@ -331,7 +331,7 @@ TEST_F(ServeRouterTest, DurableRestartRecoversEveryShardBitExact) {
     router.Stop();  // checkpoint_on_stop: each shard persists its tail
     for (uint32_t s = 0; s < kShards; ++s) {
       want_state[s] = ShardStateBytes(router.shard(s));
-      want_seq[s] = router.shard(s).ingest_log().size();
+      want_seq[s] = router.shard(s).published_seq();
       ASSERT_GT(want_seq[s], 0u) << s;
     }
   }
@@ -381,9 +381,9 @@ TEST_F(ServeRouterTest, KillingOneShardDataDirRestartsThatShardAlone) {
     router.Flush();
     router.Stop();
     want_state0 = ShardStateBytes(router.shard(0));
-    want_seq0 = router.shard(0).ingest_log().size();
+    want_seq0 = router.shard(0).published_seq();
     ASSERT_GT(want_seq0, 0u);
-    ASSERT_GT(router.shard(1).ingest_log().size(), 0u);
+    ASSERT_GT(router.shard(1).published_seq(), 0u);
   }
 
   // Kill shard 1's entire history (checkpoints + WAL).
@@ -455,7 +455,7 @@ TEST_F(ServeRouterTest, CompositeWatermarkMonotonePerShardUnderIngest) {
   router.Flush();
   client.Predict(probe, &resp);
   for (const ShardWatermark& sw : resp.shard_watermarks) {
-    EXPECT_EQ(sw.seq, router.shard(sw.shard).ingest_log().size());
+    EXPECT_EQ(sw.seq, router.shard(sw.shard).published_seq());
   }
   router.Stop();
 }
@@ -716,8 +716,8 @@ TEST_F(ServeRouterTest, TrainFeedbackRoutesToOwningShard) {
   // Every ingested edge landed on its destination's shard, nothing else.
   size_t to_shard1 = 0;
   for (size_t i = 0; i < n; ++i) to_shard1 += router.ShardOf(live[i].dst);
-  EXPECT_EQ(router.shard(1).ingest_log().size(), to_shard1);
-  EXPECT_EQ(router.shard(0).ingest_log().size(), n - to_shard1);
+  EXPECT_EQ(router.shard(1).published_seq(), to_shard1);
+  EXPECT_EQ(router.shard(0).published_seq(), n - to_shard1);
 }
 
 }  // namespace

@@ -264,7 +264,7 @@ TEST_F(ServeServiceTest, DropNewestBackpressureCountsAndStaysConsistent) {
   EXPECT_EQ(st.counters.ingest_accepted + st.counters.ingest_dropped, 100u);
   // Published state reflects exactly the accepted prefix.
   EXPECT_EQ(st.counters.published_seq, accepted);
-  EXPECT_EQ(service.ingest_log().size(), accepted);
+  EXPECT_EQ(service.published_seq(), accepted);
   // The burst must have filled the queue to its bound — the high
   // watermark proves the drops were backpressure, not a bug.
   EXPECT_EQ(st.counters.queue_high_watermark, 2u);
@@ -374,7 +374,7 @@ TEST_F(ServeServiceTest, InvalidEdgesRejectedAtTheBoundary) {
   const ServeStats st = service.Stats();
   EXPECT_EQ(st.counters.ingest_dropped, 4u);
   EXPECT_EQ(st.counters.ingest_accepted, 1u);
-  EXPECT_EQ(service.ingest_log().size(), 1u);
+  EXPECT_EQ(service.published_seq(), 1u);
   EXPECT_EQ(st.counters.published_seq, 1u);
 }
 

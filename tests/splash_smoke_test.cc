@@ -91,6 +91,33 @@ TEST(SplashSmokeTest, AutoModeSelectsAProcessAndRuns) {
   EXPECT_GE(fit.best_val_metric, 0.0);
 }
 
+TEST(SplashSmokeTest, PublishOnUnchangedModelLeavesScoresBitIdentical) {
+  const Dataset ds = SmallClassification();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
+  SplashPredictor model(SmallOptions(SplashMode::kForceStructural));
+  ASSERT_TRUE(model.Prepare(ds, split).ok());
+  TrainerOptions topts;
+  topts.epochs = 1;
+  topts.batch_size = 64;
+  StreamTrainer(topts).Fit(&model, ds, split);
+  model.SetTraining(false);
+  const std::vector<PropertyQuery> probe(ds.queries.end() - 24,
+                                         ds.queries.end());
+  for (const bool bf16 : {false, true}) {
+    model.SetReplicaPrecisionBf16(bf16);
+    SplashQueryScratch scratch;
+    const Matrix before = model.PredictBatchConst(probe, &scratch);
+    model.PrepareForPublish();
+    const Matrix& after = model.PredictBatchConst(probe, &scratch);
+    ASSERT_EQ(before.rows(), after.rows());
+    ASSERT_EQ(before.cols(), after.cols());
+    for (size_t i = 0; i < before.size(); ++i) {
+      ASSERT_EQ(before.data()[i], after.data()[i])
+          << (bf16 ? "bf16" : "fp32") << " element " << i;
+    }
+  }
+}
+
 TEST(SplashSmokeTest, ShiftIntensityStreamHasUnseenTestNodes) {
   const Dataset ds = GenerateShiftIntensity(90, 6000);
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);

@@ -97,6 +97,7 @@ SplashServiceOptions CrashServiceOptions(const std::string& data_dir) {
   opts.checkpoint_interval_batches = 16;
   opts.checkpoint_on_stop = true;
   opts.gc_wal_on_checkpoint = false;  // verify replays the full history
+  opts.record_apply_log = true;       // verify compares the log edge for edge
   return opts;
 }
 
