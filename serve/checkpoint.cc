@@ -87,22 +87,43 @@ Status WriteCheckpoint(const std::string& dir, uint64_t seq,
                        const EdgeStream& log,
                        const std::vector<uint8_t>& node_seen,
                        const std::vector<uint8_t>& predictor_state) {
-  ByteWriter payload;
-  payload.U64(seq);
-  payload.U64(batches_applied);
-  payload.F64(wm_time);
-  payload.U64(log.size());
-  payload.U64(log.num_nodes());
-  payload.Bytes(log.src_data(), log.size() * sizeof(NodeId));
-  payload.Bytes(log.dst_data(), log.size() * sizeof(NodeId));
-  payload.Bytes(log.time_data(), log.size() * sizeof(double));
-  payload.U8Vec(node_seen);
-  payload.U8Vec(predictor_state);
+  // payload = prefix ‖ predictor_state. Only the prefix (header fields,
+  // the log section, node_seen and the blob's length) is assembled; the
+  // blob is CRC'd and written from the caller's buffer in place.
+  ByteWriter prefix;
+  prefix.U64(seq);
+  prefix.U64(batches_applied);
+  prefix.F64(wm_time);
+  prefix.U64(log.size());
+  prefix.U64(log.num_nodes());
+  prefix.Bytes(log.src_data(), log.size() * sizeof(NodeId));
+  prefix.Bytes(log.dst_data(), log.size() * sizeof(NodeId));
+  prefix.Bytes(log.time_data(), log.size() * sizeof(double));
+  prefix.U8Vec(node_seen);
+  prefix.U64(predictor_state.size());
+  const uint8_t* parts[2] = {prefix.buffer().data(), predictor_state.data()};
+  const size_t part_len[2] = {prefix.size(), predictor_state.size()};
+  const size_t payload_len = part_len[0] + part_len[1];
 
   ByteWriter header;
   header.Bytes(kCkptMagic, sizeof(kCkptMagic));
-  header.U64(payload.size());
-  header.U32(Crc32c(payload.buffer().data(), payload.size()));
+  header.U64(payload_len);
+  header.U32(Crc32c(parts[1], part_len[1], Crc32c(parts[0], part_len[0])));
+
+  // Writes payload bytes [begin, end) across the two parts.
+  auto write_payload = [&](int fd, size_t begin, size_t end) {
+    size_t part_begin = 0;
+    for (int i = 0; i < 2; ++i) {
+      const size_t lo = std::max(begin, part_begin);
+      const size_t hi = std::min(end, part_begin + part_len[i]);
+      if (lo < hi) {
+        Status st = WriteFully(fd, parts[i] + (lo - part_begin), hi - lo);
+        if (!st.ok()) return st;
+      }
+      part_begin += part_len[i];
+    }
+    return Status::Ok();
+  };
 
   const std::string final_path = CheckpointPath(dir, seq);
   const std::string tmp_path = final_path + ".tmp";
@@ -116,13 +137,10 @@ Status WriteCheckpoint(const std::string& dir, uint64_t seq,
     // Two writes with the crash point between them: a mid-write crash
     // leaves a temp file whose length contradicts its header — the loader
     // must reject it and fall back.
-    const size_t half = payload.size() / 2;
-    st = WriteFully(fd, payload.buffer().data(), half);
+    const size_t half = payload_len / 2;
+    st = write_payload(fd, 0, half);
     SPLASH_CRASH_POINT(CrashPoint::kCheckpointMidWrite);
-    if (st.ok()) {
-      st = WriteFully(fd, payload.buffer().data() + half,
-                      payload.size() - half);
-    }
+    if (st.ok()) st = write_payload(fd, half, payload_len);
   }
   if (st.ok() && ::fsync(fd) != 0) {
     st = Status::Error("checkpoint: fsync failed for " + tmp_path);

@@ -7,9 +7,15 @@
 // None of it grows with the number of edges ingested. The edge-log
 // section holds the ingest history [0, W) only when the service runs with
 // record_apply_log (the replay oracles); otherwise it is empty, and
-// recovery takes its watermark from the header. The apply thread takes one
-// after the pipeline barrier, when both replicas are bit-identical, by
-// serializing the exclusively-owned back replica.
+// recovery takes its watermark from the header. The service's apply
+// thread serializes the exclusively-owned back replica after the pipeline
+// barrier, when both replicas are bit-identical, and hands the blob to a
+// background writer thread that calls WriteCheckpoint (DESIGN.md §7).
+//
+// Streaming: WriteCheckpoint assembles only the small prefix (header
+// fields, log section, node_seen, the blob's length). The predictor blob
+// is CRC'd by chaining Crc32c's seed and written from the caller's buffer
+// in place, so a checkpoint costs no copy of the state.
 //
 // Atomicity: write checkpoint-<W>.ckpt.tmp, fsync, rename() into place,
 // fsync the directory. A crash at any point leaves either the previous

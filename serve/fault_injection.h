@@ -34,7 +34,7 @@ enum class CrashPoint : int {
   kWalMidFrame,               // torn write: only a prefix of the frame lands
   kCheckpointMidWrite,        // temp file half-written
   kCheckpointBeforeRename,    // temp durable, rename not issued
-  kCheckpointAfterRename,     // checkpoint live, WAL rotation/GC pending
+  kCheckpointAfterRename,     // checkpoint live, WAL GC pending
   kNumCrashPoints,
 };
 

@@ -179,6 +179,7 @@ Status SplashService::RecoverOrStart(const Dataset& warmup,
                          opts_.data_dir + ": " + std::strerror(errno));
   }
   durable_ = true;
+  ckpt_writer_ = std::make_unique<PipelineThread>();
 
   // Base state: the newest valid checkpoint, else the deterministic
   // Prepare/Fit pipeline (same as Start — recovery without a checkpoint
@@ -279,12 +280,13 @@ Status SplashService::RecoverOrStart(const Dataset& warmup,
   recovered_seq_ = seq_;
   recovery_replayed_.store(tail.size(), std::memory_order_relaxed);
 
-  // Checkpoint-on-recovery: makes the replayed tail durable again before
-  // the rotation below truncates/GCs anything, and gives a fresh durable
-  // start an immediate base checkpoint. Also opens the new active WAL
-  // segment. On failure the service comes up degraded (serving, not
-  // logging) rather than refusing to serve.
+  // Checkpoint-on-recovery, synchronous: makes the replayed tail durable
+  // again before GC removes anything, and gives a fresh durable start an
+  // immediate base checkpoint. Also opens the new active WAL segment. On
+  // failure the service comes up degraded (serving, not logging) rather
+  // than refusing to serve.
   WriteServiceCheckpoint();
+  ckpt_writer_->Wait();
 
   running_.store(true, std::memory_order_release);
   apply_thread_ = std::thread(&SplashService::ApplyLoop, this);
@@ -401,39 +403,63 @@ void SplashService::MirrorWalFsyncs() {
 }
 
 void SplashService::WriteServiceCheckpoint() {
-  ckpt_state_scratch_.Clear();
-  replicas_[gate_.back()]->SerializeState(&ckpt_state_scratch_);
+  // The previous write still reads ckpt_: wait for it instead of skipping
+  // this checkpoint, so the schedule does not depend on write speed.
+  ckpt_writer_->Wait();
+  ckpt_.state.Clear();
+  replicas_[gate_.back()]->SerializeState(&ckpt_.state);
+  ckpt_.seq = seq_;
+  ckpt_.wal_cursor = wal_batch_index_;
+  ckpt_.wm_time = max_time_;
   // log_ is empty unless record_apply_log: the checkpoint's size does not
   // grow with lifetime traffic.
-  Status st = WriteCheckpoint(opts_.data_dir, seq_, wal_batch_index_,
-                              max_time_, log_, node_seen_,
-                              ckpt_state_scratch_.buffer());
-  if (!st.ok()) {
-    // A failed checkpoint is a durability I/O error like any other: keep
-    // serving, keep the WAL (if open) appending, flag degraded.
-    wal_io_errors_.fetch_add(1, std::memory_order_relaxed);
-    degraded_.store(true, std::memory_order_relaxed);
-    return;
-  }
-  checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
+  ckpt_.log = log_;
+  ckpt_.node_seen = node_seen_;
   batches_since_checkpoint_ = 0;
-  SPLASH_CRASH_POINT(CrashPoint::kCheckpointAfterRename);
 
-  // Rotate: everything before wal_batch_index_ is inside the checkpoint,
-  // so the new active segment starts exactly at the cursor. Old segments
-  // are GC'd unless tests keep them for the full-history oracle.
+  // Rotate before the write: everything before the cursor is inside this
+  // checkpoint, so the new active segment starts exactly there, and the
+  // writer's rename + directory fsync also persists the new segment's
+  // directory entry. The apply thread itself issues no fsync here beyond
+  // closing the old segment under its fsync policy.
   wal_.Close();
   MirrorWalFsyncs();
   Status wst = wal_.Open(WalSegmentPath(opts_.data_dir, wal_batch_index_),
                          seq_, opts_.wal_fsync, opts_.wal_group_records);
   wal_fsyncs_base_ = 0;
-  if (!wst.ok()) {
-    NoteWalError();
+  if (!wst.ok()) NoteWalError();
+
+  ckpt_writer_->Submit(&SplashService::RunCheckpointWriteThunk, this);
+}
+
+void SplashService::RunCheckpointWriteThunk(void* svc) {
+  static_cast<SplashService*>(svc)->RunCheckpointWrite();
+}
+
+void SplashService::RunCheckpointWrite() {
+  Status st = WriteCheckpoint(opts_.data_dir, ckpt_.seq, ckpt_.wal_cursor,
+                              ckpt_.wm_time, ckpt_.log, ckpt_.node_seen,
+                              ckpt_.state.buffer());
+  if (!st.ok()) {
+    // A failed checkpoint is a durability I/O error like any other: keep
+    // serving, keep every WAL segment (the previous checkpoint + WAL still
+    // recover), flag degraded.
+    wal_io_errors_.fetch_add(1, std::memory_order_relaxed);
+    degraded_.store(true, std::memory_order_relaxed);
     return;
   }
+  checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
+  SPLASH_CRASH_POINT(CrashPoint::kCheckpointAfterRename);
+
+  // The checkpoint is durable (renamed, directory fsynced): every segment
+  // but the active one is garbage. Older ones hold only records below the
+  // cursor; a newer name can only be a leftover past a recovery gap, whose
+  // stale records must never be replayed. The apply thread cannot rotate
+  // again until this job retires, so the active segment is the one at the
+  // cursor.
   if (opts_.gc_wal_on_checkpoint) {
     for (const WalSegmentInfo& seg : ListWalSegments(opts_.data_dir)) {
-      if (seg.start_index != wal_batch_index_) ::unlink(seg.path.c_str());
+      if (seg.start_index != ckpt_.wal_cursor) ::unlink(seg.path.c_str());
     }
   }
 }
@@ -575,6 +601,7 @@ void SplashService::ApplyLoop() {
     if (opts_.checkpoint_on_stop && batches_since_checkpoint_ > 0) {
       WriteServiceCheckpoint();
     }
+    ckpt_writer_->Wait();  // Stop() returns with every checkpoint durable
     wal_.Close();
     MirrorWalFsyncs();
   }

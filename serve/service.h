@@ -119,8 +119,10 @@ struct SplashServiceOptions {
   /// kBatch: fsync once per this many appended records.
   size_t wal_group_records = 8;
   /// Take a checkpoint every N applied micro-batches (0 = only at Stop).
-  /// Checkpoints run on the apply thread at a quiesced watermark; queries
-  /// keep being served from the published snapshot throughout.
+  /// The apply thread snapshots the state at a quiesced watermark and a
+  /// background writer thread writes and fsyncs it, so ingest and queries
+  /// keep flowing during the write. A checkpoint that comes due while the
+  /// previous one is still being written waits for it; none is skipped.
   uint64_t checkpoint_interval_batches = 256;
   /// Checkpoint once more when Stop() drains (fast restart: empty WAL tail).
   bool checkpoint_on_stop = true;
@@ -284,9 +286,16 @@ class SplashService final : public QueryBackend {
   /// advances seq_ / max_time_. Returns the post-clamp edge (what the WAL
   /// records).
   TemporalEdge AppendEdgeToBatch(TemporalEdge e);
-  /// Quiesced-state checkpoint + WAL rotation (apply thread / recovery
-  /// path only; both replicas must be identical at the published W).
+  /// Quiesced-state checkpoint (apply thread / recovery path only; both
+  /// replicas must be identical at the published W): waits for the
+  /// previous write, snapshots the state into ckpt_, rotates the WAL at
+  /// the cursor and hands the write to ckpt_writer_. Returns without
+  /// waiting for this write.
   void WriteServiceCheckpoint();
+  /// Checkpoint writer thread: writes ckpt_ durably, then GCs the WAL
+  /// segments it covers.
+  void RunCheckpointWrite();
+  static void RunCheckpointWriteThunk(void* svc);
   void NoteWalError();
   void MirrorWalFsyncs();
 
@@ -364,7 +373,6 @@ class SplashService final : public QueryBackend {
   bool durable_ = false;
   WalWriter wal_;
   WalRecord wal_rec_;                  // reused append scratch
-  ByteWriter ckpt_state_scratch_;      // predictor blob for checkpoints
   uint64_t wal_batch_index_ = 0;       // next record's batch_index
   uint64_t wal_fsyncs_base_ = 0;       // per-segment fsync count mirrored
   uint64_t batches_since_checkpoint_ = 0;
@@ -375,6 +383,21 @@ class SplashService final : public QueryBackend {
   std::atomic<uint64_t> recovery_target_seq_{0};
   std::atomic<uint64_t> wal_records_{0}, wal_fsyncs_{0}, wal_io_errors_{0};
   std::atomic<uint64_t> checkpoints_written_{0}, recovery_replayed_{0};
+  // Checkpoint hand-off: filled by the apply thread at a quiesced point,
+  // read by the writer thread until ckpt_writer_->Wait() returns. The
+  // buffers are reused across checkpoints.
+  struct CheckpointSnapshot {
+    uint64_t seq = 0;
+    uint64_t wal_cursor = 0;  // batch index the checkpoint covers
+    double wm_time = 0.0;
+    EdgeStream log;  // empty unless record_apply_log
+    std::vector<uint8_t> node_seen;
+    ByteWriter state;  // predictor blob
+  };
+  CheckpointSnapshot ckpt_;
+  // One-slot checkpoint writer, created by RecoverOrStart (durable
+  // services only). Declared last so it drains before what it reads dies.
+  std::unique_ptr<PipelineThread> ckpt_writer_;
 };
 
 }  // namespace splash

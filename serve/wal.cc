@@ -107,10 +107,9 @@ Status WalWriter::Open(const std::string& path, uint64_t start_seq,
   scratch_.Bytes(kWalMagic, sizeof(kWalMagic));
   scratch_.U64(start_seq);
   scratch_.U32(Crc32c(scratch_.buffer().data() + sizeof(kWalMagic), 8));
-  Status st = WriteFully(fd_, scratch_.buffer().data(), scratch_.size());
-  if (!st.ok()) return st;
-  if (policy_ != WalFsyncPolicy::kNone) return Sync();
-  return Status::Ok();
+  // No fsync here (see the header): the header reaches disk with the
+  // segment's first fdatasync.
+  return WriteFully(fd_, scratch_.buffer().data(), scratch_.size());
 }
 
 Status WalWriter::Append(const WalRecord& rec) {

@@ -33,6 +33,14 @@
 // batches every earlier segment only holds records < B and is
 // garbage-collectible.
 //
+// Rotation and GC order (serve/service.cc, DESIGN.md §7): the apply
+// thread rotates to wal-<B> when it snapshots the checkpoint at cursor B,
+// before the write; the checkpoint writer thread then writes, renames and
+// fsyncs the directory — one directory fsync persisting both the
+// checkpoint and the new segment's entry — and only after that unlinks
+// the segments the checkpoint covers. A crash anywhere in between leaves
+// the previous checkpoint plus a contiguous WAL from its cursor.
+//
 // Fsync policy is the classic group-commit trade-off:
 //   kNone   — never fsync; bounded loss on machine crash, none on process
 //             crash (page cache survives kill -9).
@@ -104,7 +112,12 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Creates (truncating) `path` and writes the segment header.
+  /// Creates (truncating) `path` and writes the segment header. Issues no
+  /// fsync: the header is not counted toward the group commit and reaches
+  /// disk with the segment's first fdatasync (a header-only segment holds
+  /// no record, so losing it loses nothing). The directory entry is the
+  /// caller's to persist — the service rotates right before a checkpoint
+  /// and the checkpoint's directory fsync covers it.
   Status Open(const std::string& path, uint64_t start_seq,
               WalFsyncPolicy policy, size_t group_records);
 

@@ -263,18 +263,42 @@ void ExpectProbeBitEqual(SplashService* svc, const SplashPredictor& ref,
   ExpectBitEqual(ref.PredictBatchConst(probe, &scratch), resp.scores, what);
 }
 
-/// Recover in-process and run the full oracle against `data_dir`'s WAL
-/// history: recovered predictor state bit-equals an uninterrupted replay,
-/// the recovered ingest log matches edge for edge, and a probe query at
-/// the recovered watermark bit-equals the reference's const query path.
-void RecoverAndVerify(const std::string& data_dir, const SplashOptions& model,
-                      uint64_t expect_seq) {
+/// The micro-batch sequence a stopped record_apply_log service applied,
+/// as WAL-shaped records — the history oracle when WAL GC deleted the
+/// segments. A train batch goes to the first batch ending at its edge
+/// count; batches ending at the same count differ only by empty edge
+/// ranges, so the apply sequence is the same either way.
+std::vector<WalRecord> RecordedHistory(const SplashService& svc) {
+  const EdgeStream& log = svc.ingest_log();
+  const auto& trains = svc.applied_train_batches();
+  std::vector<WalRecord> out;
+  size_t next_train = 0;
+  uint64_t begin = 0;
+  for (const uint64_t end : svc.applied_batch_bounds()) {
+    WalRecord rec;
+    rec.batch_index = out.size();
+    rec.seq_begin = begin;
+    rec.seq_end = end;
+    for (uint64_t i = begin; i < end; ++i) rec.edges.push_back(log[i]);
+    if (next_train < trains.size() && trains[next_train].first == end) {
+      rec.train = trains[next_train++].second;
+    }
+    out.push_back(std::move(rec));
+    begin = end;
+  }
+  EXPECT_EQ(next_train, trains.size());
+  return out;
+}
+
+/// Recover in-process and run the full oracle against `history`:
+/// recovered predictor state bit-equals an uninterrupted replay, the
+/// recovered ingest log matches edge for edge, and a probe query at the
+/// recovered watermark bit-equals the reference's const query path.
+void RecoverAndVerifyAgainst(const std::string& data_dir,
+                             const SplashOptions& model, uint64_t expect_seq,
+                             const std::vector<WalRecord>& history) {
   const Dataset ds = MakeWarmup();
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
-
-  // Reference FIRST: RecoverOrStart writes a recovery checkpoint and
-  // rotates the WAL, so read the pre-recovery history before touching it.
-  const std::vector<WalRecord> history = CollectFullHistory(data_dir);
   EdgeStream ref_log;
   auto ref = MakeReference(ds, split, model, history, &ref_log);
 
@@ -305,6 +329,15 @@ void RecoverAndVerify(const std::string& data_dir, const SplashOptions& model,
   svc.Stop();
 }
 
+/// RecoverAndVerifyAgainst the full WAL history in `data_dir` (gc off).
+void RecoverAndVerify(const std::string& data_dir, const SplashOptions& model,
+                      uint64_t expect_seq) {
+  // Read the history FIRST: RecoverOrStart writes a recovery checkpoint
+  // and rotates the WAL.
+  RecoverAndVerifyAgainst(data_dir, model, expect_seq,
+                          CollectFullHistory(data_dir));
+}
+
 // ---------------------------------------------------------------------------
 // Clean-stop / no-crash recovery
 // ---------------------------------------------------------------------------
@@ -323,6 +356,10 @@ TEST_F(ServeRecoveryTest, CleanStopThenRecoverIsBitExact) {
     ASSERT_TRUE(svc.RecoverOrStart(ds, split, &fit).ok());
     EXPECT_FALSE(svc.recovered_from_checkpoint());
     EXPECT_EQ(svc.recovered_seq(), 0u);
+    // RecoverOrStart returns with its base checkpoint durable.
+    EXPECT_EQ(svc.Stats().counters.checkpoints_written, 1u);
+    struct stat sb {};
+    EXPECT_EQ(::stat(CheckpointPath(dir.path(), 0).c_str(), &sb), 0);
     FeedLive(&svc, live, 0, 300);
     svc.Stop();  // drains + final checkpoint
     const ServeStats stats = svc.Stats();
@@ -554,6 +591,118 @@ TEST_F(ServeRecoveryTest, ProductionModeStateStaysConstantPerEdge) {
 }
 
 // ---------------------------------------------------------------------------
+// Background checkpoint writer: checkpoints are written off the apply
+// thread, and WAL GC must wait for them to be durable.
+// ---------------------------------------------------------------------------
+
+TEST_F(ServeRecoveryTest, CheckpointEveryBatchWithWalGcStaysBitExact) {
+  // Every batch hands a checkpoint to the writer while the apply thread
+  // keeps appending to the freshly rotated segment — the tightest overlap
+  // of GC with live appends.
+  TempDir dir;
+  const SplashOptions model = RecoveryModelOptions(/*dropout=*/0.15f);
+  const Dataset ds = MakeWarmup();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  const std::vector<TemporalEdge> live = LiveEdges(ds, split);
+  ASSERT_GT(live.size(), 300u);
+
+  SplashServiceOptions opts = DurableOptions(dir.path());
+  opts.checkpoint_interval_batches = 1;
+  opts.checkpoint_on_stop = false;
+  opts.gc_wal_on_checkpoint = true;
+  std::vector<WalRecord> history;
+  uint64_t batches = 0;
+  {
+    SplashService svc(model, opts);
+    TrainerOptions fit = SmallFit();
+    ASSERT_TRUE(svc.RecoverOrStart(ds, split, &fit).ok());
+    FeedLive(&svc, live, 0, 300);
+    svc.Stop();
+    const ServeStats stats = svc.Stats();
+    batches = stats.counters.batches_applied;
+    EXPECT_GT(batches, 2u);
+    // The recovery checkpoint plus one per batch after the first.
+    EXPECT_EQ(stats.counters.checkpoints_written, batches);
+    EXPECT_EQ(stats.counters.wal_io_errors, 0u);
+    history = RecordedHistory(svc);
+  }
+  ASSERT_EQ(history.size(), batches);
+
+  // No segment holding a record at or past the newest durable
+  // checkpoint's cursor was unlinked: the retained WAL carries every
+  // batch from that cursor to the end, contiguously.
+  CheckpointData ckpt;
+  bool found = false;
+  ASSERT_TRUE(LoadLatestCheckpoint(dir.path(), &ckpt, &found).ok());
+  ASSERT_TRUE(found);
+  EXPECT_EQ(ckpt.batches_applied, batches - 1);
+  uint64_t next = ckpt.batches_applied;
+  for (const WalSegmentInfo& seg : ListWalSegments(dir.path())) {
+    WalScan scan;
+    ASSERT_TRUE(ScanWalFile(seg.path, &scan).ok());
+    for (const WalRecord& rec : scan.records) {
+      if (rec.batch_index < next) continue;
+      ASSERT_EQ(rec.batch_index, next);
+      ++next;
+    }
+  }
+  EXPECT_EQ(next, batches);
+
+  RecoverAndVerifyAgainst(dir.path(), model, 300u, history);
+}
+
+TEST_F(ServeRecoveryTest, CheckpointWriterFailureDegradesAndKeepsWal) {
+  // One edge per batch (Flush after each), so the checkpoint schedule is
+  // exact: with an interval of 4 the writer gets seq 4 at batch 5 and
+  // seq 8 at batch 9. A directory squatting on seq 8's temp path makes
+  // that write fail on the writer thread.
+  TempDir dir;
+  const SplashOptions model = RecoveryModelOptions();
+  const Dataset ds = MakeWarmup();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  const std::vector<TemporalEdge> live = LiveEdges(ds, split);
+  ASSERT_TRUE(
+      ::mkdir((CheckpointPath(dir.path(), 8) + ".tmp").c_str(), 0755) == 0);
+
+  SplashServiceOptions opts = DurableOptions(dir.path());
+  opts.checkpoint_interval_batches = 4;
+  opts.checkpoint_on_stop = false;
+  opts.gc_wal_on_checkpoint = true;
+  std::vector<WalRecord> history;
+  {
+    SplashService svc(model, opts);
+    TrainerOptions fit = SmallFit();
+    ASSERT_TRUE(svc.RecoverOrStart(ds, split, &fit).ok());
+    for (size_t i = 0; i < 12; ++i) {
+      ASSERT_EQ(svc.IngestEdge(live[i]), IngestResult::kAccepted);
+      svc.Flush();
+    }
+    svc.Stop();
+    const ServeStats stats = svc.Stats();
+    EXPECT_EQ(stats.counters.batches_applied, 12u);
+    EXPECT_EQ(stats.counters.checkpoints_written, 2u);  // seq 0 and 4
+    EXPECT_GT(stats.counters.wal_io_errors, 0u);
+    EXPECT_TRUE(stats.counters.degraded);
+    EXPECT_TRUE(svc.degraded());
+    EXPECT_EQ(stats.counters.wal_records, 12u);  // the WAL kept logging
+    history = RecordedHistory(svc);
+  }
+
+  // The newest checkpoint is seq 4; the failed write GC'd nothing, so
+  // both segments past it survive.
+  CheckpointData ckpt;
+  bool found = false;
+  ASSERT_TRUE(LoadLatestCheckpoint(dir.path(), &ckpt, &found).ok());
+  ASSERT_TRUE(found);
+  EXPECT_EQ(ckpt.seq, 4u);
+  struct stat sb {};
+  EXPECT_EQ(::stat(WalSegmentPath(dir.path(), 4).c_str(), &sb), 0);
+  EXPECT_EQ(::stat(WalSegmentPath(dir.path(), 8).c_str(), &sb), 0);
+
+  RecoverAndVerifyAgainst(dir.path(), model, 12u, history);
+}
+
+// ---------------------------------------------------------------------------
 // Crash-point matrix: fork, arm, crash, recover, verify — for every
 // compiled-in crash point.
 // ---------------------------------------------------------------------------
@@ -576,13 +725,16 @@ class ServeCrashPointTest : public ::testing::TestWithParam<CrashCase> {
 /// Reaches the crash point and dies 137, or exits 0 (test then fails).
 /// gtest-free on purpose: a forked child must not touch the parent's test
 /// machinery, only _exit.
-[[noreturn]] void RunCrashChild(const std::string& data_dir, CrashCase c) {
+[[noreturn]] void RunCrashChild(const std::string& data_dir, CrashCase c,
+                                bool gc_wal = false) {
   ArmCrashPoint(c.point, c.nth);
   const SplashOptions model = RecoveryModelOptions();
   const Dataset ds = MakeWarmup();
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
   const std::vector<TemporalEdge> live = LiveEdges(ds, split);
-  SplashService svc(model, DurableOptions(data_dir));
+  SplashServiceOptions opts = DurableOptions(data_dir);
+  opts.gc_wal_on_checkpoint = gc_wal;
+  SplashService svc(model, opts);
   TrainerOptions fit = SmallFit();
   if (!svc.RecoverOrStart(ds, split, &fit).ok()) _exit(3);
   FeedLive(&svc, live, 0, live.size());
@@ -607,6 +759,36 @@ TEST_P(ServeCrashPointTest, CrashRecoverBitExact) {
   // The child died mid-write somewhere on the durability path. Recovery
   // must land on a CRC-valid prefix and match the uninterrupted run.
   RecoverAndVerify(dir.path(), RecoveryModelOptions(), kAnySeq);
+}
+
+TEST_F(ServeRecoveryTest, CrashBeforeRenameWithWalGcLeavesNoGap) {
+  // WAL GC is the writer's last step: a crash before the rename must
+  // leave the previous checkpoint's WAL intact, so recovery replays past
+  // it without a gap.
+  TempDir dir;
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    RunCrashChild(dir.path(), {CrashPoint::kCheckpointBeforeRename, 3},
+                  /*gc_wal=*/true);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), kCrashExitCode);
+
+  const SplashOptions model = RecoveryModelOptions();
+  const Dataset ds = MakeWarmup();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  SplashServiceOptions opts = DurableOptions(dir.path());
+  opts.gc_wal_on_checkpoint = true;
+  SplashService svc(model, opts);
+  TrainerOptions fit = SmallFit();
+  ASSERT_TRUE(svc.RecoverOrStart(ds, split, &fit).ok());
+  EXPECT_FALSE(svc.degraded());
+  EXPECT_TRUE(svc.recovered_from_checkpoint());
+  EXPECT_GT(svc.Stats().counters.recovery_replayed_batches, 0u);
+  svc.Stop();
 }
 
 INSTANTIATE_TEST_SUITE_P(

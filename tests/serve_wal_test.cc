@@ -10,7 +10,12 @@
 //     reports kCorrupt (bit rot is distinguished from a torn tail);
 //   - checkpoint atomicity: a crash between temp-write and rename leaves
 //     the previous checkpoint loadable; a corrupt newest checkpoint falls
-//     back to its predecessor; GC keeps kCheckpointsToKeep.
+//     back to its predecessor; GC keeps kCheckpointsToKeep;
+//   - the slice-by-8 CRC32C equals a bytewise reference at every length,
+//     alignment and seed, and chains across split buffers;
+//   - WalWriter::Open issues no fsync (the header rides the first one);
+//   - the streamed checkpoint writer emits exactly the bytes of the
+//     single-buffer header + payload layout the format defines.
 
 #include <gtest/gtest.h>
 
@@ -113,6 +118,92 @@ size_t FrameSizeOf(const WalRecord& rec) {
   ByteWriter w;
   EncodeWalRecord(rec, &w);
   return 8 + w.size();  // frame header + payload
+}
+
+/// The format's CRC32C register advanced by one byte, bit by bit from the
+/// polynomial — kept here, independent of core/serialize.h, as the oracle
+/// for Crc32c.
+uint32_t CrcStep(uint32_t reg, uint8_t byte) {
+  reg ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    reg = (reg & 1) ? 0x82f63b78u ^ (reg >> 1) : reg >> 1;
+  }
+  return reg;
+}
+
+uint32_t BytewiseCrc32c(const uint8_t* p, size_t n, uint32_t seed) {
+  uint32_t reg = ~seed;
+  for (size_t i = 0; i < n; ++i) reg = CrcStep(reg, p[i]);
+  return ~reg;
+}
+
+TEST(ServeWalTest, Crc32cKnownAnswer) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32c(check, 9), 0xE3069283u);
+  EXPECT_EQ(BytewiseCrc32c(reinterpret_cast<const uint8_t*>(check), 9, 0),
+            0xE3069283u);
+  EXPECT_EQ(Crc32c(nullptr, 0), 0u);
+}
+
+TEST(ServeWalTest, Crc32cMatchesBytewiseAtEveryLengthOffsetAndSeed) {
+  constexpr size_t kMaxLen = 4096;
+  std::vector<uint8_t> buf(kMaxLen + 8);
+  uint32_t x = 0x9E3779B9u;
+  for (uint8_t& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<uint8_t>(x >> 24);
+  }
+  for (const uint32_t seed : {0u, 0xFFFFFFFFu, 0x1234ABCDu}) {
+    for (size_t off = 0; off < 8; ++off) {
+      // The bytewise register runs along the buffer once; at each length
+      // it holds the reference CRC of the prefix.
+      const uint8_t* p = buf.data() + off;
+      uint32_t reg = ~seed;
+      for (size_t len = 0; len <= kMaxLen; ++len) {
+        ASSERT_EQ(Crc32c(p, len, seed), ~reg)
+            << "len=" << len << " off=" << off << " seed=" << seed;
+        reg = CrcStep(reg, p[len]);
+      }
+    }
+  }
+}
+
+TEST(ServeWalTest, Crc32cChainsAcrossSplits) {
+  std::vector<uint8_t> buf(1000);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  const uint32_t whole = Crc32c(buf.data(), buf.size());
+  for (const size_t split : {0u, 1u, 7u, 8u, 9u, 500u, 999u, 1000u}) {
+    const uint32_t a = Crc32c(buf.data(), split);
+    EXPECT_EQ(Crc32c(buf.data() + split, buf.size() - split, a), whole)
+        << "split=" << split;
+  }
+}
+
+TEST(ServeWalTest, OpenIssuesNoFsyncTheFirstSyncCoversTheHeader) {
+  TempDir dir;
+  const std::string path = WalSegmentPath(dir.path(), 0);
+  {
+    WalWriter w;
+    ASSERT_TRUE(w.Open(path, 0, WalFsyncPolicy::kAlways, 1).ok());
+    EXPECT_EQ(w.fsyncs(), 0u);
+    ASSERT_TRUE(w.Sync().ok());  // nothing appended: nothing to sync
+    EXPECT_EQ(w.fsyncs(), 0u);
+    ASSERT_TRUE(w.Append(MakeRecord(0, 0, 2, 0)).ok());
+    EXPECT_EQ(w.fsyncs(), 1u);
+  }
+  {
+    // A header-only segment closes without an fsync under any policy.
+    WalWriter w;
+    ASSERT_TRUE(w.Open(path, 0, WalFsyncPolicy::kBatch, 4).ok());
+    w.Close();
+    EXPECT_EQ(w.fsyncs(), 0u);
+  }
+  WalScan scan;
+  ASSERT_TRUE(ScanWalFile(path, &scan).ok());
+  EXPECT_TRUE(scan.header_ok);
+  EXPECT_TRUE(scan.records.empty());
 }
 
 TEST(ServeWalTest, EmptySegmentScansClean) {
@@ -387,6 +478,68 @@ TEST(ServeCheckpointTest, CorruptOrTornNewestFallsBackToPredecessor) {
   found = true;
   ASSERT_TRUE(LoadLatestCheckpoint(dir.path(), &data, &found).ok());
   EXPECT_FALSE(found);
+}
+
+/// The checkpoint file as the format defines it, assembled the simple way:
+/// the whole payload in one buffer, CRC'd bytewise, behind the header.
+std::vector<uint8_t> SingleBufferCheckpoint(uint64_t seq, uint64_t batches,
+                                            double wm_time,
+                                            const EdgeStream& log,
+                                            const std::vector<uint8_t>& seen,
+                                            const std::vector<uint8_t>& blob) {
+  ByteWriter payload;
+  payload.U64(seq);
+  payload.U64(batches);
+  payload.F64(wm_time);
+  payload.U64(log.size());
+  payload.U64(log.num_nodes());
+  payload.Bytes(log.src_data(), log.size() * sizeof(NodeId));
+  payload.Bytes(log.dst_data(), log.size() * sizeof(NodeId));
+  payload.Bytes(log.time_data(), log.size() * sizeof(double));
+  payload.U8Vec(seen);
+  payload.U8Vec(blob);
+  ByteWriter file;
+  file.Bytes("SPLCKP1\n", 8);
+  file.U64(payload.size());
+  file.U32(BytewiseCrc32c(payload.buffer().data(), payload.size(), 0));
+  file.Bytes(payload.buffer().data(), payload.size());
+  return file.buffer();
+}
+
+TEST(ServeCheckpointTest, StreamedWriteIsByteEqualToSingleBufferLayout) {
+  std::vector<uint8_t> blob(100003);
+  for (size_t i = 0; i < blob.size(); ++i) {
+    blob[i] = static_cast<uint8_t>(i * 7 + (i >> 9));
+  }
+  const std::vector<uint8_t> seen = {1, 0, 1, 1, 0};
+  for (const size_t n_edges : {0u, 37u}) {
+    TempDir dir;
+    const EdgeStream log = MakeLog(n_edges);
+    const double wm_time = 12.5 + static_cast<double>(n_edges);
+    ASSERT_TRUE(
+        WriteCheckpoint(dir.path(), 41, 6, wm_time, log, seen, blob).ok());
+    const std::vector<uint8_t> got = ReadFile(CheckpointPath(dir.path(), 41));
+    const std::vector<uint8_t> want =
+        SingleBufferCheckpoint(41, 6, wm_time, log, seen, blob);
+    ASSERT_EQ(got.size(), want.size()) << "n_edges=" << n_edges;
+    EXPECT_TRUE(got == want) << "n_edges=" << n_edges;
+
+    CheckpointData data;
+    bool found = false;
+    ASSERT_TRUE(LoadLatestCheckpoint(dir.path(), &data, &found).ok());
+    ASSERT_TRUE(found);
+    EXPECT_EQ(data.seq, 41u);
+    EXPECT_EQ(data.batches_applied, 6u);
+    EXPECT_EQ(data.wm_time, wm_time);
+    ASSERT_EQ(data.log.size(), n_edges);
+    for (size_t i = 0; i < n_edges; ++i) {
+      EXPECT_EQ(data.log[i].src, log[i].src);
+      EXPECT_EQ(data.log[i].dst, log[i].dst);
+      EXPECT_EQ(data.log[i].time, log[i].time);
+    }
+    EXPECT_EQ(data.node_seen, seen);
+    EXPECT_TRUE(data.predictor_state == blob);
+  }
 }
 
 TEST(ServeCheckpointTest, GcKeepsNewestTwo) {
